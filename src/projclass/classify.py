@@ -9,12 +9,13 @@ subsets F, of the surplus m|F| - |union of F| at multiplicity m.
   * Unbounded at some m: arbitrarily many trivial summands fit under m
     copies, the projection is full, and m copies are properly infinite.
 
-For the supported tail rules the supremum is computed exactly.  Tail blocks
-are disjoint from everything else, so a tail position i contributes
-m - size(i) independently of all other choices: positions with oversized
-blocks never help, and the supremum is attained inside an explicit cutoff
-window handed to the matching engine.  Constant tails and undersized constant
-blocks grow without bound.
+For the supported tail rules the supremum is computed exactly, by
+hall.surplus_sup.  Tail blocks are disjoint from everything else, so a tail
+position i contributes m - size(i) independently of all other choices:
+positions with oversized blocks never help, the supremum is attained inside
+an explicit cutoff window, and only the explicit prefix of that window is
+handed to the matching engine while the blocks are summed in closed form.
+Constant tails and undersized constant blocks grow without bound.
 """
 
 from __future__ import annotations
@@ -22,95 +23,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FullFamilyError, PatternNotFoundError, UndecidableFamilyError
-from .family import Constant, DisjointBlocks, ProjectionFamily, window
-from .hall import (
+from .family import Constant, DisjointBlocks, ProjectionFamily
+from .hall import (  # noqa: F401  SurplusSup, surplus_window_bound: re-exported
     INFINITE,
     Infinite,
-    SurplusReport,
+    SurplusSup,
     decide_trivial_minorization,
-    max_surplus,
+    surplus_sup,
+    surplus_window_bound,
+    window_surplus,
 )
 
 LABEL_NON_FULL = "non_full_stably_finite"
 LABEL_FULL = "full_stably_properly_infinite"
-
-
-@dataclass(frozen=True)
-class SurplusSup:
-    """Outcome of the surplus supremum search at one multiplicity.
-
-    Finite case: `window` is a prefix length whose window attains the value
-    and `report` the certificate on that window.  Unbounded case: `reason`
-    states which tail shape forces growth.
-    """
-
-    n: int
-    value: int | Infinite
-    window: int | None
-    report: SurplusReport | None
-    reason: str | None
-
-
-def _cutoff_window(fam: ProjectionFamily, n: int) -> int | None:
-    """Window length inside which the surplus supremum is attained; None if unbounded.
-
-    Valid because tail blocks are disjoint from all other sets: dropping a
-    tail position with size(i) > n can only raise the surplus, dropping one
-    with size(i) == n keeps it, so some maximiser lives among the prefix plus
-    the tail positions with size(i) < n.
-    """
-    tail = fam.tail
-    prefix_len = len(fam.prefix)
-    if tail is None:
-        return prefix_len
-    if isinstance(tail, Constant):
-        return None
-    if isinstance(tail, DisjointBlocks):
-        if tail.a == 0:
-            return prefix_len if tail.b >= n else None
-        return prefix_len + max(0, (n - 1 - tail.b) // tail.a)
-    raise UndecidableFamilyError("undecidable family shape")
-
-
-def _unbounded_reason(fam: ProjectionFamily, n: int) -> str:
-    tail = fam.tail
-    if isinstance(tail, Constant):
-        return (
-            f"constant tail repeats one set of size {len(tail.members)}; "
-            f"each window step eventually adds {n} to the surplus"
-        )
-    return (
-        f"tail blocks keep constant size {tail.b} < {n}; "
-        f"each tail position adds {n - tail.b} to the surplus"
-    )
-
-
-def surplus_sup(fam: ProjectionFamily, n: int) -> SurplusSup:
-    """Supremum over all finite position subsets of n|F| - |union of F|."""
-    if n < 1:
-        raise ValueError(f"multiplicity must be >= 1, got {n}")
-    cutoff = _cutoff_window(fam, n)
-    if cutoff is None:
-        return SurplusSup(n, INFINITE, None, None, _unbounded_reason(fam, n))
-    rep = max_surplus(window(fam, cutoff), n)
-    return SurplusSup(n, rep.max_surplus, cutoff, rep, None)
-
-
-def surplus_window_bound(fam: ProjectionFamily, n: int, target: int) -> int:
-    """Upper bound on the smallest window whose surplus at n reaches target.
-
-    Only meaningful when the target is reachable, i.e. the supremum is at
-    least the target; the unbounded shapes get an all-tail-positions bound.
-    """
-    cutoff = _cutoff_window(fam, n)
-    if cutoff is not None:
-        return cutoff
-    prefix_len = len(fam.prefix)
-    tail = fam.tail
-    if isinstance(tail, Constant):
-        return prefix_len + (target + len(tail.members) + n - 1) // n
-    gain = n - tail.b
-    return prefix_len + (target + gain - 1) // gain
 
 
 def max_trivial_multiplicity(fam: ProjectionFamily) -> int | Infinite:
@@ -212,7 +137,7 @@ def classify(fam: ProjectionFamily, m_max: int = 6) -> Classification:
     if witness_m is not None:
         start = _strict_sample_start(fam)
         samples = tuple(
-            (t, max_surplus(window(fam, t), witness_m).max_surplus)
+            (t, window_surplus(fam, t, witness_m).max_surplus)
             for t in range(start, start + 10)
         )
         return Classification(LABEL_FULL, witness_m=witness_m, surplus_samples=samples)

@@ -19,7 +19,7 @@ import sys
 from typing import Sequence
 
 from . import dynamics
-from .classify import classify, compute_N, surplus_sup
+from .classify import classify, surplus_sup
 from .errors import (
     FamilyFormatError,
     FamilyIndexError,
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .euler import euler_class, indicator_vector, sdr_count
 from .family import FiniteFamily, ProjectionFamily, parse_family
-from .hall import Infinite, decide_trivial_minorization, max_surplus, sdr_exists
+from .hall import decide_trivial_minorization, sdr_exists
 
 
 def _load_family(path: str) -> ProjectionFamily:
@@ -81,10 +81,6 @@ def _emit(doc: dict, fmt: str) -> None:
         print(json.dumps(doc, sort_keys=True))
 
 
-def _surplus_value_doc(value) -> object:
-    return "infinite" if isinstance(value, Infinite) else value
-
-
 def cmd_analyze(args) -> tuple[dict, int]:
     fam = _load_family(args.family)
     decision = decide_trivial_minorization(fam, args.m, args.n)
@@ -98,16 +94,17 @@ def cmd_classify(args) -> tuple[dict, int]:
 
 def cmd_nbound(args) -> tuple[dict, int]:
     fam = _load_family(args.family)
-    n_value = compute_N(fam, args.m)
     sup = surplus_sup(fam, args.m)
-    doc: dict = {"m": args.m, "N": _surplus_value_doc(n_value)}
-    if sup.report is not None:
-        doc["window"] = sup.window
-        doc["witness_F"] = list(sup.report.witness_F)
-        doc["attained_surplus"] = sup.report.max_surplus
-    else:
-        doc["unbounded_reason"] = sup.reason
-    return doc, 0
+    if sup.report is None:
+        return {"m": args.m, "N": "infinite", "unbounded_reason": sup.reason}, 0
+    # N(m) = 1 + supremum, as in compute_N, from the one supremum computed here
+    return {
+        "m": args.m,
+        "N": sup.value + 1,
+        "window": sup.window,
+        "witness_F": list(sup.report.witness_F),
+        "attained_surplus": sup.report.max_surplus,
+    }, 0
 
 
 def cmd_euler(args) -> tuple[dict, int]:

@@ -185,20 +185,37 @@ def _ordered_matching(candidates: list[list[GroundTerm]]) -> list[GroundTerm] | 
             owner[free] = s
             choice[s] = free
 
-    def augment(s: int, banned: set[GroundTerm]) -> bool:
-        for t in candidates[s]:
-            if t in banned:
-                continue
-            banned.add(t)
-            holder = owner.get(t)
-            if holder is None or augment(holder, banned):
-                owner[t] = s
-                choice[s] = t
-                return True
+    def augment(root: int) -> bool:
+        # depth-first with an explicit stack: path[k] takes via[k] from
+        # path[k + 1], and each frame resumes its own candidate list
+        banned: set[GroundTerm] = set()
+        path = [root]
+        via: list[GroundTerm] = []
+        options = [iter(candidates[root])]
+        while path:
+            for t in options[-1]:
+                if t in banned:
+                    continue
+                banned.add(t)
+                via.append(t)
+                holder = owner.get(t)
+                if holder is None:
+                    for source, term in zip(path, via):
+                        owner[term] = source
+                        choice[source] = term
+                    return True
+                path.append(holder)
+                options.append(iter(candidates[holder]))
+                break
+            else:
+                path.pop()
+                options.pop()
+                if via:
+                    via.pop()
         return False
 
     for s in pending:
-        if not augment(s, set()):
+        if not augment(s):
             return None
     return choice
 

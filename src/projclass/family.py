@@ -77,12 +77,16 @@ class DisjointBlocks:
     def size(self, i: int) -> int:
         return self.a * i + self.b
 
+    def first(self, i: int) -> int:
+        """Smallest identifier of the i-th tail block."""
+        before = self.a * (i - 1) * i // 2 + self.b * (i - 1)
+        return self.start + self.stride * before
+
     def block(self, i: int) -> IndexSet:
         """The i-th tail block, i >= 1 counted from the first tail position."""
         if i < 1:
             raise FamilyIndexError(f"tail blocks are 1-based, got {i}")
-        before = self.a * (i - 1) * i // 2 + self.b * (i - 1)
-        first = self.start + self.stride * before
+        first = self.first(i)
         return frozenset(range(first, first + self.stride * self.size(i), self.stride))
 
 

@@ -11,6 +11,12 @@ everywhere else:
     (positions) - (maximum matching) on the n-fold expanded family, and the
     unique inclusion-minimal witness is the set of positions reachable from
     unmatched ones along alternating paths;
+  * window_surplus: max_surplus of a window of a symbolic family.  Disjoint
+    block tails touch nothing else, so only the explicit prefix is matched;
+    each tail block adds n - size(i) when positive, and its part of the
+    certificate is written down directly;
+  * surplus_sup: the supremum of the window surpluses, attained inside a
+    cutoff window read off the tail shape, or unbounded;
   * decide_trivial_minorization: do m trivial rank-one summands embed under
     n copies of the family's projection, which holds exactly when some finite
     window reaches surplus m at multiplicity n.
@@ -24,7 +30,15 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .family import FiniteFamily, ProjectionFamily, expand_multiplicity, window
+from .errors import UndecidableFamilyError
+from .family import (
+    Constant,
+    DisjointBlocks,
+    FiniteFamily,
+    ProjectionFamily,
+    expand_multiplicity,
+    window,
+)
 
 
 class Infinite:
@@ -66,10 +80,12 @@ class BipartiteIncidence:
 def max_matching(g: BipartiteIncidence) -> tuple[int, dict[int, int]]:
     """Maximum matching size plus one maximum matching, position -> element.
 
-    Hopcroft-Karp with breadth-first phase layering.  The distance map is
-    keyed by left vertices plus a None sentinel standing for "reached a free
-    element".  Before returning, maximality is re-verified by checking that
-    no augmenting path remains.
+    Hopcroft-Karp with breadth-first phase layering and an iterative
+    depth-first augmentation, so path length is not bounded by the
+    interpreter's recursion limit.  The distance map is keyed by left
+    vertices plus a None sentinel standing for "reached a free element".
+    Before returning, maximality is re-verified by checking that no
+    augmenting path remains.
     """
     inf = float("inf")
     pair_pos: dict[int, int] = {}
@@ -96,15 +112,33 @@ def max_matching(g: BipartiteIncidence) -> tuple[int, dict[int, int]]:
                             queue.append(q)
         return dist[None] != inf
 
-    def dfs(p: int) -> bool:
-        for e in g.adj[p]:
-            q = pair_elem.get(e)
-            if dist[q] == dist[p] + 1:
-                if q is None or dfs(q):
-                    pair_pos[p] = e
-                    pair_elem[e] = p
-                    return True
-        dist[p] = inf
+    def dfs(root: int) -> bool:
+        # depth-first along the layering with an explicit stack: path[k] is
+        # joined to path[k + 1] through via[k], and each frame resumes its
+        # own adjacency where it left off, in the order recursion would
+        path = [root]
+        via: list[int] = []
+        edges = [iter(g.adj[root])]
+        while path:
+            p = path[-1]
+            for e in edges[-1]:
+                q = pair_elem.get(e)
+                if dist[q] == dist[p] + 1:
+                    via.append(e)
+                    if q is None:
+                        for node, elem in zip(path, via):
+                            pair_pos[node] = elem
+                            pair_elem[elem] = node
+                        return True
+                    path.append(q)
+                    edges.append(iter(g.adj[q]))
+                    break
+            else:
+                dist[p] = inf
+                path.pop()
+                edges.pop()
+                if via:
+                    via.pop()
         return False
 
     while bfs():
@@ -246,18 +280,156 @@ class MinorizationDecision:
         return doc
 
 
+def window_surplus(fam: ProjectionFamily, t: int, n: int) -> SurplusReport:
+    """max_surplus(window(fam, t), n), field for field, without the tail expansion.
+
+    Past the prefix of a disjoint-block family every tail block is disjoint
+    from all other sets, so the n-fold expansion splits into the expanded
+    prefix plus one complete bipartite piece per block.  Only the prefix is
+    matched; block i then adds max(0, n - size(i)) to the surplus, joins the
+    witness exactly when size(i) < n, and its copy c (c <= min(n, size(i)))
+    sits at expanded position (p+i-1)*n + c matched to the c-th smallest
+    identifier of the block, which is what Hopcroft-Karp picks there.
+    Other windows go through the matching engine whole.
+    """
+    tail = fam.tail
+    p = len(fam.prefix)
+    if t <= p or not isinstance(tail, DisjointBlocks):
+        return max_surplus(window(fam, t), n)
+    rep = max_surplus(window(fam, p), n)
+    surplus = rep.max_surplus
+    witness = list(rep.witness_F)
+    matching = list(rep.matching)
+    for i in range(1, t - p + 1):
+        size = tail.size(i)
+        if size < n:
+            surplus += n - size
+            witness.append(p + i)
+        base = (p + i - 1) * n
+        first = tail.first(i)
+        matching.extend(
+            (base + c, first + tail.stride * (c - 1)) for c in range(1, min(n, size) + 1)
+        )
+    return SurplusReport(n, t, surplus, tuple(witness), tuple(matching))
+
+
+@dataclass(frozen=True)
+class SurplusSup:
+    """Outcome of the surplus supremum search at one multiplicity.
+
+    Finite case: `window` is a prefix length whose window attains the value
+    and `report` the certificate on that window.  Unbounded case: `reason`
+    states which tail shape forces growth.
+    """
+
+    n: int
+    value: int | Infinite
+    window: int | None
+    report: SurplusReport | None
+    reason: str | None
+
+
+def _cutoff_window(fam: ProjectionFamily, n: int) -> int | None:
+    """Window length inside which the surplus supremum is attained; None if unbounded.
+
+    Valid because tail blocks are disjoint from all other sets: dropping a
+    tail position with size(i) > n can only raise the surplus, dropping one
+    with size(i) == n keeps it, so some maximiser lives among the prefix plus
+    the tail positions with size(i) < n.
+    """
+    tail = fam.tail
+    prefix_len = len(fam.prefix)
+    if tail is None:
+        return prefix_len
+    if isinstance(tail, Constant):
+        return None
+    if isinstance(tail, DisjointBlocks):
+        if tail.a == 0:
+            return prefix_len if tail.b >= n else None
+        return prefix_len + max(0, (n - 1 - tail.b) // tail.a)
+    raise UndecidableFamilyError("undecidable family shape")
+
+
+def _unbounded_reason(fam: ProjectionFamily, n: int) -> str:
+    tail = fam.tail
+    if isinstance(tail, Constant):
+        return (
+            f"constant tail repeats one set of size {len(tail.members)}; "
+            f"each window step eventually adds {n} to the surplus"
+        )
+    return (
+        f"tail blocks keep constant size {tail.b} < {n}; "
+        f"each tail position adds {n - tail.b} to the surplus"
+    )
+
+
+def surplus_sup(fam: ProjectionFamily, n: int) -> SurplusSup:
+    """Supremum over all finite position subsets of n|F| - |union of F|."""
+    if n < 1:
+        raise ValueError(f"multiplicity must be >= 1, got {n}")
+    cutoff = _cutoff_window(fam, n)
+    if cutoff is None:
+        return SurplusSup(n, INFINITE, None, None, _unbounded_reason(fam, n))
+    rep = window_surplus(fam, cutoff, n)
+    return SurplusSup(n, rep.max_surplus, cutoff, rep, None)
+
+
+def surplus_window_bound(fam: ProjectionFamily, n: int, target: int) -> int:
+    """Upper bound on the smallest window whose surplus at n reaches target.
+
+    Only meaningful when the target is reachable, i.e. the supremum is at
+    least the target; the unbounded shapes get an all-tail-positions bound.
+    """
+    cutoff = _cutoff_window(fam, n)
+    if cutoff is not None:
+        return cutoff
+    prefix_len = len(fam.prefix)
+    tail = fam.tail
+    if isinstance(tail, Constant):
+        return prefix_len + (target + len(tail.members) + n - 1) // n
+    gain = n - tail.b
+    return prefix_len + (target + gain - 1) // gain
+
+
+def _first_reaching_report(fam: ProjectionFamily, n: int, target: int) -> SurplusReport:
+    """Report of the smallest window whose surplus at n reaches a reachable target.
+
+    Windows are scanned with the matching engine, but for disjoint blocks
+    only up to the prefix: past it the surplus grows by max(0, n - size(i))
+    per tail position, so the reaching window is found by arithmetic and
+    only its certificate is built.
+    """
+    tail = fam.tail
+    blocks = isinstance(tail, DisjointBlocks)
+    last = len(fam.prefix) if blocks else surplus_window_bound(fam, n, target)
+    surplus = 0
+    for t in range(1, last + 1):
+        rep = max_surplus(window(fam, t), n)
+        if rep.max_surplus >= target:
+            return rep
+        surplus = rep.max_surplus
+    if blocks:
+        if tail.a == 0 and tail.b < n:
+            gain = n - tail.b
+            return window_surplus(fam, last + (target - surplus + gain - 1) // gain, n)
+        i = 0
+        while surplus < target and tail.size(i + 1) < n:
+            i += 1
+            surplus += n - tail.size(i)
+        if surplus >= target:
+            return window_surplus(fam, last + i, n)
+    raise AssertionError("certified surplus not reached within its window bound")
+
+
 def decide_trivial_minorization(
     fam: ProjectionFamily | FiniteFamily, m: int, n: int
 ) -> MinorizationDecision:
     """Decide whether m trivial rank-one summands embed under n copies of Q.
 
     Symbolic tails are handled through the closed-form surplus supremum; the
-    positive certificate window is found by a scan that a shape-derived bound
-    keeps finite.
+    positive certificate is the smallest window reaching m, which a bounded
+    scan of the explicit windows followed by block-tail arithmetic finds.
     """
-    # classify builds on this module; import deferred to avoid the cycle
-    from .classify import surplus_sup, surplus_window_bound
-
     if isinstance(fam, FiniteFamily):
         fam = ProjectionFamily(fam.sets)
     if m < 1 or n < 1:
@@ -265,9 +437,5 @@ def decide_trivial_minorization(
     sup = surplus_sup(fam, n)
     if not isinstance(sup.value, Infinite) and sup.value < m:
         return MinorizationDecision(False, m, n, sup.value, sup.window, sup.report)
-    bound = surplus_window_bound(fam, n, m)
-    for t in range(bound + 1):
-        rep = max_surplus(window(fam, t), n)
-        if rep.max_surplus >= m:
-            return MinorizationDecision(True, m, n, sup.value, t, rep, sup.reason)
-    raise AssertionError("certified surplus not reached within its window bound")
+    rep = _first_reaching_report(fam, n, m)
+    return MinorizationDecision(True, m, n, sup.value, rep.positions, rep, sup.reason)

@@ -223,3 +223,35 @@ def test_oracle_check_function_counts():
     doc = oracle_check(3, 3, 10, 1)
     assert doc["exhaustive_cases"] == 8 + 64 + 512
     assert doc["disagreements"] == 0
+
+
+@pytest.fixture
+def chain_file(tmp_path):
+    # {1,2}, ..., {4999,5000}, {1}: one augmenting path through all positions
+    p = tmp_path / "chain.json"
+    p.write_text(json.dumps({"prefix": [[j, j + 1] for j in range(1, 5000)] + [[1]]}))
+    return str(p)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("nbound", "--m", "1"),
+        ("analyze", "--m", "1", "--n", "1"),
+        ("classify", "--m-max", "2"),
+    ],
+)
+def test_long_chain_decides(capsys, chain_file, argv):
+    code, out, err = run(capsys, argv[0], "--family", chain_file, *argv[1:])
+    assert code == 0, err
+    json.loads(out)
+
+
+def test_long_chain_endo_sim(capsys, chain_file):
+    code, out, err = run(
+        capsys, "endo-sim", "--family", chain_file,
+        "--depth", "0", "--window", "0", "--prefix", "3000",
+    )
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["transversal_ok"] is True and doc["hall_ok"] is True

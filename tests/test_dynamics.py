@@ -9,6 +9,7 @@ from projclass.dynamics import (
     Base,
     Nu,
     Transversal,
+    _ordered_matching,
     alpha,
     build_transversal,
     gamma_iterate,
@@ -201,3 +202,11 @@ def test_alpha_output_matches_its_definition(j, k, idents):
     expected |= {BAtom(j, r) for r in range(1, k + 1)}
     expected |= {Nu(j, Base(2 * l)) for l in range(1, j + 1)}
     assert got == expected
+
+
+def test_ordered_matching_long_augmenting_path():
+    # greedy gives source j its first candidate j; the last source then
+    # needs one alternating path through all 5000 sources
+    candidates = [[j, j + 1] for j in range(1, 5000)] + [[1]]
+    choice = _ordered_matching(candidates)
+    assert choice == list(range(2, 5001)) + [1]

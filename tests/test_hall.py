@@ -8,7 +8,15 @@ from conftest import (
     finite,
     triangular,
 )
-from projclass.family import FiniteFamily, expand_multiplicity, window
+from projclass.family import (
+    Constant,
+    DisjointBlocks,
+    FiniteFamily,
+    ProjectionFamily,
+    expand_multiplicity,
+    reindex_to_odd,
+    window,
+)
 from projclass.hall import (
     INFINITE,
     BipartiteIncidence,
@@ -16,6 +24,7 @@ from projclass.hall import (
     max_matching,
     max_surplus,
     sdr_exists,
+    window_surplus,
 )
 
 small_sets = st.lists(
@@ -179,3 +188,66 @@ def test_decision_antitone_in_m_monotone_in_n(m, n):
         base = decide_trivial_minorization(fam, m, n).decision
         assert decide_trivial_minorization(fam, m + 1, n).decision <= base
         assert decide_trivial_minorization(fam, m, n + 1).decision >= base
+
+
+def chain_sets(n: int) -> tuple[frozenset, ...]:
+    # {1,2}, {2,3}, ..., {n-1,n}, {1}: the last set needs one augmenting
+    # path through every other position
+    return tuple(frozenset({j, j + 1}) for j in range(1, n)) + (frozenset({1}),)
+
+
+def test_max_matching_long_augmenting_path():
+    size, matching = max_matching(BipartiteIncidence.from_family(FiniteFamily(chain_sets(5000))))
+    assert size == 5000
+    assert matching[5000] == 1 and matching[1] == 2 and matching[4999] == 5000
+
+
+@st.composite
+def block_families(draw, constant=False):
+    """Random prefix plus a disjoint-block tail, optionally on odd identifiers."""
+    prefix = draw(st.lists(st.frozensets(st.integers(1, 6), max_size=4), max_size=5))
+    top = max((max(s) for s in prefix if s), default=0)
+    start = top + 1 + draw(st.integers(0, 2))
+    if constant:
+        tail = Constant(draw(st.frozensets(st.integers(1, 8), max_size=3)))
+    else:
+        a, b = draw(st.sampled_from([(a, b) for a in range(4) for b in range(4)][1:]))
+        tail = DisjointBlocks(a, b, start)
+    fam = ProjectionFamily(tuple(prefix), tail)
+    return reindex_to_odd(fam) if draw(st.booleans()) else fam
+
+
+@settings(max_examples=300)
+@given(fam=block_families(), n=st.integers(1, 6), extra=st.integers(0, 7), data=st.data())
+def test_window_surplus_equals_windowed_matching(fam, n, extra, data):
+    # every field, matching included, against the expanded-window route
+    t = data.draw(st.integers(0, len(fam.prefix) + extra))
+    assert window_surplus(fam, t, n) == max_surplus(window(fam, t), n)
+
+
+def test_window_surplus_empty_prefix_and_flat_blocks():
+    for fam in (
+        triangular(),
+        ProjectionFamily((), DisjointBlocks(0, 2, 1)),
+        reindex_to_odd(ProjectionFamily((frozenset({1}), frozenset({1})), DisjointBlocks(1, 0, 2))),
+    ):
+        for n in (1, 2, 5):
+            for t in range(0, 9):
+                assert window_surplus(fam, t, n) == max_surplus(window(fam, t), n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(fam=st.one_of(block_families(), block_families(constant=True)))
+def test_decision_window_is_the_smallest_reaching_window(fam):
+    # windowed oracle: when the supremum is unbounded, every tail position
+    # past the first adds at least 1 and the first loses at most 3, so
+    # windows up to p + m + 4 cover every reachable target
+    for n in range(1, 6):
+        reports = [max_surplus(window(fam, t), n) for t in range(len(fam.prefix) + 25)]
+        for m in range(1, 21):
+            reaching = [rep for rep in reports if rep.max_surplus >= m]
+            dec = decide_trivial_minorization(fam, m, n)
+            assert dec.decision == bool(reaching)
+            if reaching:
+                assert dec.window == reaching[0].positions
+                assert dec.certificate == reaching[0]
