@@ -4,7 +4,8 @@ Subcommands map one-to-one onto the library deciders; every command reads a
 family document (or inline JSON), runs exactly one decision, and prints one
 JSON object with the certificate embedded.  Output is byte-deterministic for
 a given input and seed.  Exit codes: 0 on success, 2 on input errors, 1 when
-an internal guard trips or the oracles disagree.
+an internal guard trips, the oracles disagree, or stdout is closed before
+the document is written.
 
 The orbit entry cap honours the PROJCLASS_ENTRY_CAP environment variable.
 """
@@ -296,7 +297,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ProjclassError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(doc, args.format)
+    try:
+        _emit(doc, args.format)
+    except BrokenPipeError:
+        # the reader went away; send what is still buffered to the null
+        # device so that the flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout closed before the output was written", file=sys.stderr)
+        return 1
     return code
 
 

@@ -4,7 +4,9 @@ A summand-permuting endomorphism acts on an index set J through alpha_j:
 push every term of J through the injective pairing nu(j, .), adjoin a pool of
 k fresh atoms shared by the whole j-layer, and for j >= 1 adjoin j marker
 terms.  Iterating over all j in a window [-w, w] yields the orbit families
-Gamma_m; entry counts grow as (2w+1)^m per source.
+Gamma_m; entry counts grow as (2w+1)^m per source.  They are built layer by
+layer, Gamma_m = union over j of alpha_j(Gamma_{m-1}), so alpha runs once per
+entry of every layer instead of once per step of every path.
 
 The simulator builds, for every depth m >= 1, an injective transversal of
 Gamma_m (one member per entry's set, all members distinct).  That is the
@@ -22,7 +24,6 @@ for markers.  gamma_iterate itself embeds the family it is given verbatim.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -58,15 +59,6 @@ class Nu:
 
 
 GroundTerm = Union[Base, BAtom, Nu]
-
-
-def term_key(term: GroundTerm):
-    """Canonical total order on terms: Base < BAtom < Nu, then componentwise."""
-    if isinstance(term, Base):
-        return (0, term.ident)
-    if isinstance(term, BAtom):
-        return (1, term.j, term.r)
-    return (2, term.j, term_key(term.arg))
 
 
 def term_to_doc(term: GroundTerm) -> list:
@@ -130,7 +122,9 @@ def gamma_iterate(
 
     Entries come in path order (layers -w..w, lexicographic over the path,
     sources innermost), (2w+1)^depth * prefix_len of them; exceeding the
-    entry cap raises before any work is done.
+    entry cap raises before any work is done.  Each layer prepends j to the
+    paths of the previous one and applies alpha_j to its sets, with j in the
+    outer loop, which keeps that order.
     """
     if depth < 0 or window_w < 0 or prefix_len < 0:
         raise ValueError("depth, window and prefix length must be >= 0")
@@ -140,14 +134,16 @@ def gamma_iterate(
             f"window too large: {count} entries exceed the cap of {entry_cap}"
         )
     base = window(fam, prefix_len)
-    layers = range(-window_w, window_w + 1)
-    entries = []
-    for path in itertools.product(layers, repeat=depth):
-        for s, members in enumerate(base.sets, 1):
-            terms: frozenset[GroundTerm] = frozenset(Base(i) for i in members)
-            for j in reversed(path):
-                terms = alpha(j, terms, k)
-            entries.append(GammaEntry(path, s, terms))
+    entries = [
+        GammaEntry((), s, frozenset(Base(i) for i in members))
+        for s, members in enumerate(base.sets, 1)
+    ]
+    for _ in range(depth):
+        entries = [
+            GammaEntry((j,) + e.path, e.source, alpha(j, e.terms, k))
+            for j in range(-window_w, window_w + 1)
+            for e in entries
+        ]
     return GammaFamily(depth, window_w, prefix_len, k, tuple(entries))
 
 
@@ -229,7 +225,7 @@ def _depth1_candidates(
     and only for tight positions: the pool is exactly large enough to absorb
     the tight set's deficiency, so nobody else may touch it.
     """
-    own = sorted((Nu(j, Base(i)) for i in members), key=term_key)
+    own = [Nu(j, Base(i)) for i in sorted(members)]
     markers = [Nu(j, _marker(l)) for l in range(1, j + 1)] if j >= 1 else []
     pool = [BAtom(j, r) for r in range(1, k + 1)] if pooled else []
     return own + markers + pool
@@ -252,9 +248,7 @@ def build_transversal(
     trans = Transversal(gamma.depth)
 
     if gamma.depth == 0:
-        candidates = [
-            sorted((Base(i) for i in members), key=term_key) for members in base.sets
-        ]
+        candidates = [[Base(i) for i in sorted(members)] for members in base.sets]
         choice = _ordered_matching(candidates)
         if choice is None:
             raise HallViolationError(
@@ -300,12 +294,15 @@ def verify_transversal(gamma: GammaFamily, trans: Transversal) -> bool:
 def hall_check_gamma(gamma: GammaFamily) -> bool:
     """Independent confirmation that the orbit family satisfies Hall's condition.
 
-    Terms are relabelled to integers and handed to the matching engine, so
-    this check shares no code path with build_transversal.
+    Terms are relabelled to integers in order of first appearance and handed
+    to the matching engine, so this check shares no code path with
+    build_transversal.  The labels only rename the ground side of the
+    incidence graph, so the verdict does not depend on them.
     """
-    universe = sorted({t for e in gamma.entries for t in e.terms}, key=term_key)
-    ids = {t: i for i, t in enumerate(universe, 1)}
-    fam = FiniteFamily(tuple(frozenset(ids[t] for t in e.terms) for e in gamma.entries))
+    ids: dict[GroundTerm, int] = {}
+    fam = FiniteFamily(
+        tuple(frozenset(ids.setdefault(t, len(ids) + 1) for t in e.terms) for e in gamma.entries)
+    )
     return sdr_exists(fam)
 
 

@@ -10,7 +10,8 @@ everywhere else:
     subset: by the deficiency form of Koenig's theorem it equals
     (positions) - (maximum matching) on the n-fold expanded family, and the
     unique inclusion-minimal witness is the set of positions reachable from
-    unmatched ones along alternating paths;
+    unmatched ones along alternating paths.  The same sweep, run on every
+    matching before it is returned, confirms that no augmenting path remains;
   * window_surplus: max_surplus of a window of a symbolic family.  Disjoint
     block tails touch nothing else, so only the explicit prefix is matched;
     each tail block adds n - size(i) when positive, and its part of the
@@ -67,14 +68,13 @@ class BipartiteIncidence:
     """
 
     positions: tuple[int, ...]
-    ground: tuple[int, ...]
     adj: dict[int, tuple[int, ...]]
 
     @classmethod
     def from_family(cls, fam: FiniteFamily) -> "BipartiteIncidence":
         positions = tuple(range(1, len(fam.sets) + 1))
         adj = {p: tuple(sorted(fam.sets[p - 1])) for p in positions}
-        return cls(positions, tuple(sorted(fam.ground)), adj)
+        return cls(positions, adj)
 
 
 def max_matching(g: BipartiteIncidence) -> tuple[int, dict[int, int]]:
@@ -84,8 +84,8 @@ def max_matching(g: BipartiteIncidence) -> tuple[int, dict[int, int]]:
     depth-first augmentation, so path length is not bounded by the
     interpreter's recursion limit.  The distance map is keyed by left
     vertices plus a None sentinel standing for "reached a free element".
-    Before returning, maximality is re-verified by checking that no
-    augmenting path remains.
+    Before returning, maximality is re-verified by one alternating sweep
+    from the unmatched positions: it must reach no free element.
     """
     inf = float("inf")
     pair_pos: dict[int, int] = {}
@@ -146,40 +146,24 @@ def max_matching(g: BipartiteIncidence) -> tuple[int, dict[int, int]]:
             if p not in pair_pos:
                 dfs(p)
 
-    if _augmenting_path_exists(g, pair_pos, pair_elem):
+    if _alternating_reach(g, pair_pos, pair_elem)[1]:
         raise AssertionError("matching reported as maximum but an augmenting path remains")
     return len(pair_pos), dict(pair_pos)
 
 
-def _augmenting_path_exists(g, pair_pos, pair_elem) -> bool:
-    """Single alternating-path sweep; certificate that the matching is maximum."""
-    frontier = deque(p for p in g.positions if p not in pair_pos)
-    seen_pos = set(frontier)
-    seen_elem = set()
-    while frontier:
-        p = frontier.popleft()
-        for e in g.adj[p]:
-            if e in seen_elem:
-                continue
-            seen_elem.add(e)
-            q = pair_elem.get(e)
-            if q is None:
-                return True
-            if q not in seen_pos:
-                seen_pos.add(q)
-                frontier.append(q)
-    return False
-
-
-def _deficiency_witness(g, pair_pos, pair_elem) -> frozenset[int]:
+def _alternating_reach(g, pair_pos, pair_elem) -> tuple[frozenset[int], bool]:
     """Positions reachable from unmatched ones along alternating paths.
 
-    This set attains the maximum deficiency |F| - |N(F)| and is contained in
-    every other maximiser, so it is the unique inclusion-minimal witness.
+    The flag tells whether such a path reaches a free element, that is,
+    whether the matching still has an augmenting path.  When it does not,
+    the matching is maximum and the reached set attains the maximum
+    deficiency |F| - |N(F)| and is contained in every other maximiser, so it
+    is the unique inclusion-minimal witness.
     """
     reached = {p for p in g.positions if p not in pair_pos}
     queue = deque(reached)
     seen_elem = set()
+    free = False
     while queue:
         p = queue.popleft()
         for e in g.adj[p]:
@@ -187,10 +171,12 @@ def _deficiency_witness(g, pair_pos, pair_elem) -> frozenset[int]:
                 continue
             seen_elem.add(e)
             q = pair_elem.get(e)
-            if q is not None and q not in reached:
+            if q is None:
+                free = True
+            elif q not in reached:
                 reached.add(q)
                 queue.append(q)
-    return frozenset(reached)
+    return frozenset(reached), free
 
 
 def sdr_exists(fam: FiniteFamily) -> bool:
@@ -236,7 +222,7 @@ def max_surplus(fam: FiniteFamily, n: int = 1) -> SurplusReport:
     g = BipartiteIncidence.from_family(expanded)
     size, pair_pos = max_matching(g)
     pair_elem = {e: p for p, e in pair_pos.items()}
-    reached = _deficiency_witness(g, pair_pos, pair_elem)
+    reached, _ = _alternating_reach(g, pair_pos, pair_elem)
     witness = sorted({(p - 1) // n + 1 for p in reached})
     return SurplusReport(
         n=n,

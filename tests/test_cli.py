@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -255,3 +258,25 @@ def test_long_chain_endo_sim(capsys, chain_file):
     assert code == 0, err
     doc = json.loads(out)
     assert doc["transversal_ok"] is True and doc["hall_ok"] is True
+
+
+def test_closed_stdout_exits_cleanly(tmp_path):
+    # the certificate of a 20000-position chain is far larger than a pipe
+    # buffer, so the reader's early close hits the CLI mid-write
+    p = tmp_path / "chain.json"
+    p.write_text(json.dumps({"prefix": [[j, j + 1] for j in range(1, 20000)] + [[1]]}))
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "projclass.cli", "analyze", "--family", str(p), "--m", "1", "--n", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import CONSTANT_ONE, padded_triangular, triangular
 from projclass.dynamics import (
@@ -15,13 +15,12 @@ from projclass.dynamics import (
     gamma_iterate,
     hall_check_gamma,
     simulate,
-    term_key,
     term_to_doc,
     verify_transversal,
 )
 from projclass.errors import FullFamilyError, HallViolationError, WindowTooLargeError
 from projclass.classify import find_tight_set
-from projclass.family import ProjectionFamily, reindex_to_odd
+from projclass.family import DisjointBlocks, ProjectionFamily, reindex_to_odd, window
 
 
 def test_alpha_at_nonpositive_layer_adds_no_markers():
@@ -51,11 +50,6 @@ def test_terms_are_structural():
     assert len({Nu(1, Base(3)), Nu(1, Base(3)), BAtom(1, 1)}) == 2
 
 
-def test_term_key_orders_constructors():
-    terms = [Nu(0, Base(1)), BAtom(0, 1), Base(2), Base(1)]
-    assert sorted(terms, key=term_key) == [Base(1), Base(2), BAtom(0, 1), Nu(0, Base(1))]
-
-
 def test_term_to_doc_nesting():
     assert term_to_doc(Nu(1, Base(3))) == ["nu", 1, ["base", 3]]
     assert term_to_doc(BAtom(-2, 1)) == ["batom", -2, 1]
@@ -79,6 +73,36 @@ def test_gamma_depth_one_counts_layers():
 def test_gamma_depth_two_entry_count():
     gamma = gamma_iterate(triangular(), prefix_len=2, window_w=1, depth=2, k=0)
     assert len(gamma.entries) == 18
+
+
+def replayed_gamma(fam, prefix_len, w, depth, k):
+    # every path from scratch: alpha applied innermost layer first
+    entries = []
+    for path in itertools.product(range(-w, w + 1), repeat=depth):
+        for s, members in enumerate(window(fam, prefix_len).sets, 1):
+            terms = frozenset(Base(i) for i in members)
+            for j in reversed(path):
+                terms = alpha(j, terms, k)
+            entries.append((path, s, terms))
+    return entries
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sets=st.lists(st.frozensets(st.integers(1, 6), max_size=3), max_size=3),
+    a=st.integers(0, 2),
+    b=st.integers(0, 2),
+    t=st.integers(0, 4),
+    depth=st.integers(0, 3),
+    w=st.integers(0, 2),
+    k=st.integers(0, 2),
+)
+def test_gamma_layers_equal_per_path_replay(sets, a, b, t, depth, w, k):
+    assume((a, b) != (0, 0))
+    fam = ProjectionFamily(tuple(sets), DisjointBlocks(a, b, 7))
+    gamma = gamma_iterate(fam, t, w, depth, k)
+    got = [(e.path, e.source, e.terms) for e in gamma.entries]
+    assert got == replayed_gamma(fam, t, w, depth, k)
 
 
 def test_gamma_entry_cap():

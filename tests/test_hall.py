@@ -20,6 +20,7 @@ from projclass.family import (
 from projclass.hall import (
     INFINITE,
     BipartiteIncidence,
+    _alternating_reach,
     decide_trivial_minorization,
     max_matching,
     max_surplus,
@@ -48,6 +49,11 @@ def test_max_matching_shared_element():
 def test_max_matching_four_positions():
     size, _ = max_matching(BipartiteIncidence.from_family(finite({1, 2}, {1}, {2}, {3})))
     assert size == 3
+
+
+def test_alternating_reach_sees_a_free_element_past_a_non_maximum_matching():
+    g = BipartiteIncidence.from_family(finite({1}, {2}))
+    assert _alternating_reach(g, {}, {}) == (frozenset({1, 2}), True)
 
 
 def test_sdr_exists_basics():
