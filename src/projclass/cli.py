@@ -4,8 +4,9 @@ Subcommands map one-to-one onto the library deciders; every command reads a
 family document (or inline JSON), runs exactly one decision, and prints one
 JSON object with the certificate embedded.  Output is byte-deterministic for
 a given input and seed.  Exit codes: 0 on success, 2 on input errors, 1 when
-an internal guard trips, the oracles disagree, or stdout is closed before
-the document is written.
+an internal guard trips, the oracles disagree, a computation nests past the
+interpreter's recursion limit, or stdout is closed before the document is
+written.
 
 The orbit entry cap honours the PROJCLASS_ENTRY_CAP environment variable.
 """
@@ -36,10 +37,17 @@ from .family import FiniteFamily, ProjectionFamily, parse_family
 from .hall import decide_trivial_minorization, sdr_exists
 
 
+def _loads(text: str) -> object:
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("arrays or objects nested too deeply", text, 0) from None
+
+
 def _load_family(path: str) -> ProjectionFamily:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return parse_family(json.loads(text))
+    return parse_family(_loads(text))
 
 
 def _render_text(doc: object, indent: int = 0) -> list[str]:
@@ -109,7 +117,7 @@ def cmd_nbound(args) -> tuple[dict, int]:
 
 
 def cmd_euler(args) -> tuple[dict, int]:
-    bundles_doc = json.loads(args.bundles)
+    bundles_doc = _loads(args.bundles)
     if not isinstance(bundles_doc, list):
         raise FamilyFormatError("bundles must be a JSON array of Chern vectors")
     bundles = []
@@ -289,13 +297,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         UndecidableFamilyError,
         FullFamilyError,
         OracleBoundsError,
-        FileNotFoundError,
+        OSError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ProjclassError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: input nests too deeply for the interpreter's recursion limit", file=sys.stderr)
         return 1
     try:
         _emit(doc, args.format)

@@ -20,7 +20,9 @@ everywhere else:
     cutoff window read off the tail shape, or unbounded;
   * decide_trivial_minorization: do m trivial rank-one summands embed under
     n copies of the family's projection, which holds exactly when some finite
-    window reaches surplus m at multiplicity n.
+    window reaches surplus m at multiplicity n.  The window surplus never
+    decreases as the window grows, so the smallest reaching window is found
+    by bisection over window_surplus.
 
 All computations are exact; every positive answer carries a finite witness
 and every matching is re-checked for maximality before being reported.
@@ -28,6 +30,7 @@ and every matching is re-checked for maximality before being reported.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
@@ -380,31 +383,17 @@ def surplus_window_bound(fam: ProjectionFamily, n: int, target: int) -> int:
 def _first_reaching_report(fam: ProjectionFamily, n: int, target: int) -> SurplusReport:
     """Report of the smallest window whose surplus at n reaches a reachable target.
 
-    Windows are scanned with the matching engine, but for disjoint blocks
-    only up to the prefix: past it the surplus grows by max(0, n - size(i))
-    per tail position, so the reaching window is found by arithmetic and
-    only its certificate is built.
+    A longer window keeps every subset of a shorter one, so the window
+    surplus never decreases with t and the first reaching window is found by
+    bisection over [1, surplus_window_bound]; each probe is one window_surplus.
     """
-    tail = fam.tail
-    blocks = isinstance(tail, DisjointBlocks)
-    last = len(fam.prefix) if blocks else surplus_window_bound(fam, n, target)
-    surplus = 0
-    for t in range(1, last + 1):
-        rep = max_surplus(window(fam, t), n)
-        if rep.max_surplus >= target:
-            return rep
-        surplus = rep.max_surplus
-    if blocks:
-        if tail.a == 0 and tail.b < n:
-            gain = n - tail.b
-            return window_surplus(fam, last + (target - surplus + gain - 1) // gain, n)
-        i = 0
-        while surplus < target and tail.size(i + 1) < n:
-            i += 1
-            surplus += n - tail.size(i)
-        if surplus >= target:
-            return window_surplus(fam, last + i, n)
-    raise AssertionError("certified surplus not reached within its window bound")
+    last = surplus_window_bound(fam, n, target)
+    t = bisect_left(
+        range(last + 1), target, lo=1, key=lambda w: window_surplus(fam, w, n).max_surplus
+    )
+    if t > last:
+        raise AssertionError("certified surplus not reached within its window bound")
+    return window_surplus(fam, t, n)
 
 
 def decide_trivial_minorization(
@@ -413,8 +402,8 @@ def decide_trivial_minorization(
     """Decide whether m trivial rank-one summands embed under n copies of Q.
 
     Symbolic tails are handled through the closed-form surplus supremum; the
-    positive certificate is the smallest window reaching m, which a bounded
-    scan of the explicit windows followed by block-tail arithmetic finds.
+    positive certificate is the smallest window reaching m, found by
+    bisection over the monotone window surplus up to surplus_window_bound.
     """
     if isinstance(fam, FiniteFamily):
         fam = ProjectionFamily(fam.sets)

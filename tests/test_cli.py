@@ -280,3 +280,38 @@ def test_closed_stdout_exits_cleanly(tmp_path):
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err and "Exception ignored" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def cli_process(*argv: str) -> subprocess.CompletedProcess:
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "projclass.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+@pytest.fixture
+def deep_file(tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    return str(p)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("analyze", "--family", os.sep, "--m", "1", "--n", "1"), 2),
+        (("analyze", "--family", "DEEP", "--m", "1", "--n", "1"), 2),
+        (("euler", "--bundles", "[" * 10_000 + "]" * 10_000), 2),
+        (("endo-sim", "--family", "TRI", "--depth", "400", "--window", "0", "--prefix", "1"), 1),
+    ],
+    ids=["directory", "deep-family", "deep-bundles", "deep-terms"],
+)
+def test_no_traceback_on_hostile_input(deep_file, tri_file, argv, code):
+    argv = [{"DEEP": deep_file, "TRI": tri_file}.get(a, a) for a in argv]
+    proc = cli_process(*argv)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""

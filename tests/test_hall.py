@@ -8,6 +8,7 @@ from conftest import (
     finite,
     triangular,
 )
+from projclass import hall
 from projclass.family import (
     Constant,
     DisjointBlocks,
@@ -208,13 +209,35 @@ def test_max_matching_long_augmenting_path():
     assert matching[5000] == 1 and matching[1] == 2 and matching[4999] == 5000
 
 
+def test_reaching_window_found_by_bisection(monkeypatch):
+    # a chain with an SDR, then {1}, {1}: surplus 1 is first reached at
+    # window 2001, so a window-by-window scan would match 2001 windows where
+    # bisection over the 2002-window bound probes about log2(2002) of them
+    fam = FiniteFamily(chain_sets(2000) + (frozenset({1}), frozenset({1})))
+    calls = []
+
+    def counting(f, n=1):
+        calls.append(len(f.sets))
+        return max_surplus(f, n)
+
+    monkeypatch.setattr(hall, "max_surplus", counting)
+    dec = decide_trivial_minorization(fam, 1, 1)
+    assert dec.decision and dec.window == 2001
+    assert len(calls) <= 2 + len(fam.sets).bit_length()
+
+
 @st.composite
-def block_families(draw, constant=False):
-    """Random prefix plus a disjoint-block tail, optionally on odd identifiers."""
+def block_families(draw, constant=False, finite=False):
+    """Random prefix plus a disjoint-block tail, optionally on odd identifiers.
+
+    constant=True puts a constant tail instead, finite=True no tail at all.
+    """
     prefix = draw(st.lists(st.frozensets(st.integers(1, 6), max_size=4), max_size=5))
     top = max((max(s) for s in prefix if s), default=0)
     start = top + 1 + draw(st.integers(0, 2))
-    if constant:
+    if finite:
+        tail = None
+    elif constant:
         tail = Constant(draw(st.frozensets(st.integers(1, 8), max_size=3)))
     else:
         a, b = draw(st.sampled_from([(a, b) for a in range(4) for b in range(4)][1:]))
@@ -243,13 +266,19 @@ def test_window_surplus_empty_prefix_and_flat_blocks():
 
 
 @settings(max_examples=30, deadline=None)
-@given(fam=st.one_of(block_families(), block_families(constant=True)))
+@given(
+    fam=st.one_of(
+        block_families(), block_families(constant=True), block_families(finite=True)
+    )
+)
 def test_decision_window_is_the_smallest_reaching_window(fam):
     # windowed oracle: when the supremum is unbounded, every tail position
     # past the first adds at least 1 and the first loses at most 3, so
-    # windows up to p + m + 4 cover every reachable target
+    # windows up to p + m + 4 cover every reachable target; a finite family
+    # has no window past its prefix
+    last = len(fam.prefix) if fam.tail is None else len(fam.prefix) + 24
     for n in range(1, 6):
-        reports = [max_surplus(window(fam, t), n) for t in range(len(fam.prefix) + 25)]
+        reports = [max_surplus(window(fam, t), n) for t in range(last + 1)]
         for m in range(1, 21):
             reaching = [rep for rep in reports if rep.max_surplus >= m]
             dec = decide_trivial_minorization(fam, m, n)
