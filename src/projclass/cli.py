@@ -4,9 +4,9 @@ Subcommands map one-to-one onto the library deciders; every command reads a
 family document (or inline JSON), runs exactly one decision, and prints one
 JSON object with the certificate embedded.  Output is byte-deterministic for
 a given input and seed.  Exit codes: 0 on success, 2 on input errors, 1 when
-an internal guard trips, the oracles disagree, a computation nests past the
-interpreter's recursion limit, or stdout is closed before the document is
-written.
+an internal guard trips, the oracles disagree, a computation or the printed
+document nests past the interpreter's recursion limit, or stdout is closed
+before the document is written.
 
 The orbit entry cap honours the PROJCLASS_ENTRY_CAP environment variable.
 """
@@ -280,6 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _too_deep() -> int:
+    print("error: input nests too deeply for the interpreter's recursion limit", file=sys.stderr)
+    return 1
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -306,10 +311,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
-        print("error: input nests too deeply for the interpreter's recursion limit", file=sys.stderr)
-        return 1
+        return _too_deep()
     try:
         _emit(doc, args.format)
+    except RecursionError:
+        # a dumped orbit term can nest past what json.dumps or the text
+        # renderer recurse through; nothing has been written yet
+        return _too_deep()
     except BrokenPipeError:
         # the reader went away; send what is still buffered to the null
         # device so that the flush at interpreter exit cannot fail again

@@ -16,16 +16,24 @@ needs from the combinatorics.  A transversal of the depth-1 layer is found by
 matching, with the pool atoms reserved for the tight positions F0; higher
 depths lift it through t(alpha_j(I)) = nu(j, t(I)), one wrap per layer.
 
-Terms are free objects, so injectivity of nu is structural rather than
-arithmetic and coding collisions are impossible.  The simulate() pipeline
-first relabels the family onto odd identifiers; even identifiers are reserved
-for markers.  gamma_iterate itself embeds the family it is given verbatim.
+Terms are hash-consed into positive integer ids by a TermTable, which one
+gamma_iterate call creates and its GammaFamily holds.  A term is a node
+("base", i), ("batom", j, r) or ("nu", j, child id), and each distinct node
+gets exactly one id, so nu stays injective (nu(j, a) = nu(j', b) only when
+j = j' and a = b) and never meets a base or pool atom: coding collisions are
+impossible, as with free terms, yet hashing or comparing a term costs the
+same at every nesting depth.  Terms become nested wire lists only in
+term_to_doc, which unwinds nu chains with a loop.  The simulate() pipeline
+first relabels the family onto odd identifiers; even identifiers are
+reserved for markers.  gamma_iterate itself embeds the family it is given
+verbatim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from functools import partial
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .classify import find_tight_set
 from .errors import HallViolationError, WindowTooLargeError
@@ -35,79 +43,91 @@ from .hall import sdr_exists
 DEFAULT_ENTRY_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class Base:
-    """An original ground identifier, embedded as a term."""
+class TermTable:
+    """Hash-consing table: one positive id per distinct term node.
 
-    ident: int
+    ids maps a node to its id and nodes maps an id back to its node (slot 0
+    is unused, so every id is positive).  Interning is one dict lookup, plus
+    an append the first time a node is seen.
+    """
 
+    def __init__(self) -> None:
+        self.ids: dict[tuple, int] = {}
+        self.nodes: list[tuple] = [()]
 
-@dataclass(frozen=True)
-class BAtom:
-    """The r-th fresh pool atom of the depth-1 layer j."""
+    def _add(self, node: tuple) -> int:
+        tid = self.ids[node] = len(self.nodes)
+        self.nodes.append(node)
+        return tid
 
-    j: int
-    r: int
+    def base(self, i: int) -> int:
+        """An original ground identifier, embedded as a term."""
+        node = ("base", i)
+        return self.ids.get(node) or self._add(node)
 
+    def batom(self, j: int, r: int) -> int:
+        """The r-th fresh pool atom of layer j."""
+        node = ("batom", j, r)
+        return self.ids.get(node) or self._add(node)
 
-@dataclass(frozen=True)
-class Nu:
-    """The injective pairing nu(j, arg)."""
-
-    j: int
-    arg: "GroundTerm"
-
-
-GroundTerm = Union[Base, BAtom, Nu]
-
-
-def term_to_doc(term: GroundTerm) -> list:
-    """Wire form: ["base", i], ["batom", j, r], or ["nu", j, inner]."""
-    if isinstance(term, Base):
-        return ["base", term.ident]
-    if isinstance(term, BAtom):
-        return ["batom", term.j, term.r]
-    return ["nu", term.j, term_to_doc(term.arg)]
+    def nu(self, j: int, child: int) -> int:
+        """The injective pairing nu(j, child)."""
+        node = ("nu", j, child)
+        return self.ids.get(node) or self._add(node)
 
 
-def _marker(l: int) -> Base:
+def term_to_doc(table: TermTable, term: int) -> list:
+    """Wire form: ["base", i], ["batom", j, r], or ["nu", j, inner], built without recursion."""
+    nodes = table.nodes
+    wraps = []
+    node = nodes[term]
+    while node[0] == "nu":
+        wraps.append(node[1])
+        node = nodes[node[2]]
+    doc = list(node)
+    for j in reversed(wraps):
+        doc = ["nu", j, doc]
+    return doc
+
+
+def _marker(table: TermTable, l: int) -> int:
     # markers live on the even identifiers, which the odd reindexing reserves
-    return Base(2 * l)
+    return table.base(2 * l)
 
 
-def alpha(j: int, terms: frozenset[GroundTerm], k: int) -> frozenset[GroundTerm]:
-    """One dynamics step on a set of terms.
+def alpha(table: TermTable, j: int, terms: frozenset[int], k: int) -> frozenset[int]:
+    """One dynamics step on a set of term ids.
 
     nu-image of the set, plus the k pool atoms of layer j, plus markers
     nu(j, even 1..j) when j >= 1; no markers for j <= 0.
     """
     if k < 0:
         raise ValueError(f"pool size k must be >= 0, got {k}")
-    image = {Nu(j, t) for t in terms}
-    image.update(BAtom(j, r) for r in range(1, k + 1))
-    if j >= 1:
-        image.update(Nu(j, _marker(l)) for l in range(1, j + 1))
+    nu = table.nu
+    image = {nu(j, t) for t in terms}
+    image.update(table.batom(j, r) for r in range(1, k + 1))
+    image.update(nu(j, _marker(table, l)) for l in range(1, j + 1))
     return frozenset(image)
 
 
-@dataclass(frozen=True)
-class GammaEntry:
+class GammaEntry(NamedTuple):
     """One orbit set: the path of alpha layers applied (outermost first) and its source."""
 
     path: tuple[int, ...]
     source: int
-    terms: frozenset[GroundTerm]
+    terms: frozenset[int]
 
 
 @dataclass(frozen=True)
 class GammaFamily:
-    """The full orbit family at one depth over a window of layers."""
+    """The full orbit family at one depth over a window of layers, with its term table."""
 
     depth: int
     window: int
     sources: int
     pool: int
     entries: tuple[GammaEntry, ...]
+    table: TermTable = field(repr=False, compare=False)
 
 
 def gamma_iterate(
@@ -124,7 +144,8 @@ def gamma_iterate(
     sources innermost), (2w+1)^depth * prefix_len of them; exceeding the
     entry cap raises before any work is done.  Each layer prepends j to the
     paths of the previous one and applies alpha_j to its sets, with j in the
-    outer loop, which keeps that order.
+    outer loop, which keeps that order.  The terms are interned in a fresh
+    TermTable, so nothing is shared between calls.
     """
     if depth < 0 or window_w < 0 or prefix_len < 0:
         raise ValueError("depth, window and prefix length must be >= 0")
@@ -133,48 +154,53 @@ def gamma_iterate(
         raise WindowTooLargeError(
             f"window too large: {count} entries exceed the cap of {entry_cap}"
         )
+    table = TermTable()
     base = window(fam, prefix_len)
     entries = [
-        GammaEntry((), s, frozenset(Base(i) for i in members))
+        GammaEntry((), s, frozenset(map(table.base, members)))
         for s, members in enumerate(base.sets, 1)
     ]
     for _ in range(depth):
         entries = [
-            GammaEntry((j,) + e.path, e.source, alpha(j, e.terms, k))
+            GammaEntry((j,) + e.path, e.source, alpha(table, j, e.terms, k))
             for j in range(-window_w, window_w + 1)
             for e in entries
         ]
-    return GammaFamily(depth, window_w, prefix_len, k, tuple(entries))
+    return GammaFamily(depth, window_w, prefix_len, k, tuple(entries), table)
 
 
 @dataclass
 class Transversal:
-    """An injective choice of one term per orbit entry, keyed by (path, source)."""
+    """An injective choice of one term id per orbit entry, keyed by (path, source)."""
 
     depth: int
-    assignment: dict[tuple[tuple[int, ...], int], GroundTerm] = field(default_factory=dict)
+    table: TermTable
+    assignment: dict[tuple[tuple[int, ...], int], int] = field(default_factory=dict)
 
     def to_doc(self) -> list[dict]:
         return [
-            {"path": list(path), "source": source, "term": term_to_doc(term)}
+            {"path": list(path), "source": source, "term": term_to_doc(self.table, term)}
             for (path, source), term in sorted(
                 self.assignment.items(), key=lambda kv: (kv[0][0], kv[0][1])
             )
         ]
 
 
-def _ordered_matching(candidates: list[list[GroundTerm]]) -> list[GroundTerm] | None:
+def _ordered_matching(candidates: list[Callable[[], Iterable[int]]]) -> list[int] | None:
     """Deterministic perfect matching honoring candidate order.
 
-    First pass hands every source its first still-free candidate; stuck
-    sources then augment along alternating paths, again in candidate order.
-    Returns None when no perfect matching exists.
+    candidates[s]() yields source s's candidates in preference order; it is
+    called afresh whenever s is visited, so the lists can be built lazily
+    and only as far as they are read.  First pass hands every source its
+    first still-free candidate; stuck sources then augment along alternating
+    paths, again in candidate order.  Returns None when no perfect matching
+    exists.
     """
-    owner: dict[GroundTerm, int] = {}
-    choice: list[GroundTerm | None] = [None] * len(candidates)
+    owner: dict[int, int] = {}
+    choice: list[int | None] = [None] * len(candidates)
     pending = []
-    for s, terms in enumerate(candidates):
-        free = next((t for t in terms if t not in owner), None)
+    for s, stream in enumerate(candidates):
+        free = next((t for t in stream() if t not in owner), None)
         if free is None:
             pending.append(s)
         else:
@@ -183,11 +209,11 @@ def _ordered_matching(candidates: list[list[GroundTerm]]) -> list[GroundTerm] | 
 
     def augment(root: int) -> bool:
         # depth-first with an explicit stack: path[k] takes via[k] from
-        # path[k + 1], and each frame resumes its own candidate list
-        banned: set[GroundTerm] = set()
+        # path[k + 1], and each frame resumes its own candidate stream
+        banned: set[int] = set()
         path = [root]
-        via: list[GroundTerm] = []
-        options = [iter(candidates[root])]
+        via: list[int] = []
+        options = [iter(candidates[root]())]
         while path:
             for t in options[-1]:
                 if t in banned:
@@ -201,7 +227,7 @@ def _ordered_matching(candidates: list[list[GroundTerm]]) -> list[GroundTerm] | 
                         choice[source] = term
                     return True
                 path.append(holder)
-                options.append(iter(candidates[holder]))
+                options.append(iter(candidates[holder]()))
                 break
             else:
                 path.pop()
@@ -217,18 +243,23 @@ def _ordered_matching(candidates: list[list[GroundTerm]]) -> list[GroundTerm] | 
 
 
 def _depth1_candidates(
-    members: frozenset[int], j: int, k: int, pooled: bool
-) -> list[GroundTerm]:
-    """Candidate terms for one source in layer j, preference-ordered.
+    table: TermTable, members: frozenset[int], j: int, k: int, pooled: bool
+) -> Iterator[int]:
+    """Candidate term ids for one source in layer j, preference-ordered.
 
     Own nu-elements first, then the shared markers, and the pool atoms last
     and only for tight positions: the pool is exactly large enough to absorb
-    the tight set's deficiency, so nobody else may touch it.
+    the tight set's deficiency, so nobody else may touch it.  Each id is
+    interned when it is read, so a source that takes its first candidate
+    builds only that one.
     """
-    own = [Nu(j, Base(i)) for i in sorted(members)]
-    markers = [Nu(j, _marker(l)) for l in range(1, j + 1)] if j >= 1 else []
-    pool = [BAtom(j, r) for r in range(1, k + 1)] if pooled else []
-    return own + markers + pool
+    for i in sorted(members):
+        yield table.nu(j, table.base(i))
+    for l in range(1, j + 1):
+        yield table.nu(j, _marker(table, l))
+    if pooled:
+        for r in range(1, k + 1):
+            yield table.batom(j, r)
 
 
 def build_transversal(
@@ -241,14 +272,17 @@ def build_transversal(
     window satisfies Hall's condition.  For depth >= 1, each layer j gets its
     own matching with the pool atoms reserved for the tight positions; higher
     depths wrap the depth-1 choice in nu, one layer per path step, which
-    keeps distinct paths structurally disjoint.
+    keeps distinct paths disjoint because nu is injective.
     """
+    table = gamma.table
     base = window(fam, gamma.sources)
     tight = frozenset(tight_positions)
-    trans = Transversal(gamma.depth)
+    trans = Transversal(gamma.depth, table)
 
     if gamma.depth == 0:
-        candidates = [[Base(i) for i in sorted(members)] for members in base.sets]
+        candidates = [
+            partial(iter, [table.base(i) for i in sorted(members)]) for members in base.sets
+        ]
         choice = _ordered_matching(candidates)
         if choice is None:
             raise HallViolationError(
@@ -258,10 +292,10 @@ def build_transversal(
             trans.assignment[((), s)] = term
         return trans
 
-    depth1: dict[tuple[int, int], GroundTerm] = {}
+    depth1: dict[tuple[int, int], int] = {}
     for j in range(-gamma.window, gamma.window + 1):
         candidates = [
-            _depth1_candidates(members, j, k, s in tight)
+            partial(_depth1_candidates, table, members, j, k, s in tight)
             for s, members in enumerate(base.sets, 1)
         ]
         choice = _ordered_matching(candidates)
@@ -270,19 +304,24 @@ def build_transversal(
         for s, term in enumerate(choice, 1):
             depth1[(j, s)] = term
 
+    nu = table.nu
     for entry in gamma.entries:
         term = depth1[(entry.path[-1], entry.source)]
         for j in reversed(entry.path[:-1]):
-            term = Nu(j, term)
+            term = nu(j, term)
         trans.assignment[(entry.path, entry.source)] = term
     return trans
 
 
 def verify_transversal(gamma: GammaFamily, trans: Transversal) -> bool:
-    """Membership and injectivity check, independent of how the transversal was built."""
-    if len(trans.assignment) != len(gamma.entries):
+    """Membership and injectivity check, independent of how the transversal was built.
+
+    Term ids only mean something inside one table, so a transversal over
+    another table than Gamma's is rejected outright.
+    """
+    if trans.table is not gamma.table or len(trans.assignment) != len(gamma.entries):
         return False
-    seen: set[GroundTerm] = set()
+    seen: set[int] = set()
     for entry in gamma.entries:
         term = trans.assignment.get((entry.path, entry.source))
         if term is None or term not in entry.terms or term in seen:
@@ -294,16 +333,11 @@ def verify_transversal(gamma: GammaFamily, trans: Transversal) -> bool:
 def hall_check_gamma(gamma: GammaFamily) -> bool:
     """Independent confirmation that the orbit family satisfies Hall's condition.
 
-    Terms are relabelled to integers in order of first appearance and handed
-    to the matching engine, so this check shares no code path with
-    build_transversal.  The labels only rename the ground side of the
-    incidence graph, so the verdict does not depend on them.
+    The term ids are positive integers already, so Gamma's sets go to the
+    matching engine as they are; this check shares no code path with
+    build_transversal.
     """
-    ids: dict[GroundTerm, int] = {}
-    fam = FiniteFamily(
-        tuple(frozenset(ids.setdefault(t, len(ids) + 1) for t in e.terms) for e in gamma.entries)
-    )
-    return sdr_exists(fam)
+    return sdr_exists(FiniteFamily(tuple(e.terms for e in gamma.entries)))
 
 
 @dataclass

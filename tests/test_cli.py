@@ -304,14 +304,38 @@ def deep_file(tmp_path):
         (("analyze", "--family", os.sep, "--m", "1", "--n", "1"), 2),
         (("analyze", "--family", "DEEP", "--m", "1", "--n", "1"), 2),
         (("euler", "--bundles", "[" * 10_000 + "]" * 10_000), 2),
-        (("endo-sim", "--family", "TRI", "--depth", "400", "--window", "0", "--prefix", "1"), 1),
+        (("endo-sim", "--family", "TRI", "--depth", "400", "--window", "0", "--prefix", "1"), 0),
+        (("endo-sim", "--family", "TRI", "--depth", "3000", "--window", "0", "--prefix", "1"), 0),
+        (("endo-sim", "--family", "TRI", "--depth", "3000", "--window", "0", "--prefix", "1",
+          "--dump-assignment"), 1),
+        (("endo-sim", "--family", "TRI", "--depth", "3000", "--window", "0", "--prefix", "1",
+          "--dump-assignment", "--format", "text"), 1),
     ],
-    ids=["directory", "deep-family", "deep-bundles", "deep-terms"],
+    ids=["directory", "deep-family", "deep-bundles", "deep-terms", "deeper-terms",
+         "deeper-terms-dump", "deeper-terms-dump-text"],
 )
 def test_no_traceback_on_hostile_input(deep_file, tri_file, argv, code):
     argv = [{"DEEP": deep_file, "TRI": tri_file}.get(a, a) for a in argv]
     proc = cli_process(*argv)
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert proc.stdout == ""
+    if code == 0:
+        # decided: one document on stdout, nothing on stderr
+        assert proc.stderr == "" and proc.stdout.count("\n") == 1
+        assert json.loads(proc.stdout)["transversal_ok"] is True
+    else:
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+
+
+def test_deep_terms_dump_decodes_every_wrap(tri_file):
+    # depth 400 stays under the JSON encoder's nesting limit, so the dump prints
+    proc = cli_process("endo-sim", "--family", tri_file, "--depth", "400", "--window", "0",
+                       "--prefix", "1", "--dump-assignment")
+    assert proc.returncode == 0 and proc.stderr == ""
+    (item,) = json.loads(proc.stdout)["assignment"]
+    term, wraps = item["term"], 0
+    while term[0] == "nu":
+        assert term[1] == 0
+        term, wraps = term[2], wraps + 1
+    assert (wraps, term) == (400, ["base", 1])

@@ -1,14 +1,14 @@
 import itertools
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import CONSTANT_ONE, padded_triangular, triangular
 from projclass.dynamics import (
-    BAtom,
-    Base,
-    Nu,
+    TermTable,
     Transversal,
+    _depth1_candidates,
     _ordered_matching,
     alpha,
     build_transversal,
@@ -21,45 +21,74 @@ from projclass.dynamics import (
 from projclass.errors import FullFamilyError, HallViolationError, WindowTooLargeError
 from projclass.classify import find_tight_set
 from projclass.family import DisjointBlocks, ProjectionFamily, reindex_to_odd, window
+from projclass.hall import max_surplus
+
+
+def free_doc(doc):
+    return tuple(free_doc(x) if isinstance(x, list) else x for x in doc)
+
+
+def frees(table, terms):
+    """Term ids decoded to free terms: nested tuples of their wire forms."""
+    return frozenset(free_doc(term_to_doc(table, t)) for t in terms)
 
 
 def test_alpha_at_nonpositive_layer_adds_no_markers():
-    got = alpha(0, frozenset({Base(1)}), 1)
-    assert got == {Nu(0, Base(1)), BAtom(0, 1)}
+    t = TermTable()
+    got = alpha(t, 0, frozenset({t.base(1)}), 1)
+    assert frees(t, got) == {("nu", 0, ("base", 1)), ("batom", 0, 1)}
 
 
 def test_alpha_positive_layer_adds_marker_images():
     # markers for layer 2 are the reserved identifiers 2 and 4
-    got = alpha(2, frozenset({Base(1)}), 0)
-    assert got == {Nu(2, Base(1)), Nu(2, Base(2)), Nu(2, Base(4))}
+    t = TermTable()
+    got = alpha(t, 2, frozenset({t.base(1)}), 0)
+    assert frees(t, got) == {("nu", 2, ("base", 1)), ("nu", 2, ("base", 2)), ("nu", 2, ("base", 4))}
 
 
 def test_alpha_empty_input_keeps_the_pool():
-    assert alpha(-3, frozenset(), 2) == {BAtom(-3, 1), BAtom(-3, 2)}
+    t = TermTable()
+    assert frees(t, alpha(t, -3, frozenset(), 2)) == {("batom", -3, 1), ("batom", -3, 2)}
 
 
 def test_alpha_rejects_negative_pool():
     with pytest.raises(ValueError):
-        alpha(0, frozenset(), -1)
+        alpha(TermTable(), 0, frozenset(), -1)
 
 
 def test_terms_are_structural():
-    assert Nu(1, Base(3)) == Nu(1, Base(3))
-    assert Nu(1, Base(3)) != Nu(2, Base(3))
-    assert Nu(1, Base(3)) != Base(3)
-    assert len({Nu(1, Base(3)), Nu(1, Base(3)), BAtom(1, 1)}) == 2
+    t = TermTable()
+    assert t.nu(1, t.base(3)) == t.nu(1, t.base(3))
+    assert t.nu(1, t.base(3)) != t.nu(2, t.base(3))
+    assert t.nu(1, t.base(3)) != t.base(3)
+    assert t.batom(1, 1) != t.base(1)
+    assert len({t.nu(1, t.base(3)), t.nu(1, t.base(3)), t.batom(1, 1)}) == 2
+    # one id per distinct node, all positive: base 3, nu(1, .), nu(2, .), batom, base 1
+    assert sorted(t.ids.values()) == list(range(1, 6)) == list(range(1, len(t.nodes)))
 
 
 def test_term_to_doc_nesting():
-    assert term_to_doc(Nu(1, Base(3))) == ["nu", 1, ["base", 3]]
-    assert term_to_doc(BAtom(-2, 1)) == ["batom", -2, 1]
+    t = TermTable()
+    assert term_to_doc(t, t.nu(1, t.base(3))) == ["nu", 1, ["base", 3]]
+    assert term_to_doc(t, t.batom(-2, 1)) == ["batom", -2, 1]
+
+
+def test_term_to_doc_unwinds_deep_terms_without_recursion():
+    t = TermTable()
+    term = t.batom(0, 1)
+    for _ in range(50_000):
+        term = t.nu(-1, term)
+    doc, wraps = term_to_doc(t, term), 0
+    while doc[0] == "nu":
+        doc, wraps = doc[2], wraps + 1
+    assert (wraps, doc) == (50_000, ["batom", 0, 1])
 
 
 def test_gamma_depth_zero_embeds_the_window():
     gamma = gamma_iterate(triangular(), prefix_len=2, window_w=0, depth=0, k=0)
-    assert [e.terms for e in gamma.entries] == [
-        frozenset({Base(1)}),
-        frozenset({Base(2), Base(3)}),
+    assert [frees(gamma.table, e.terms) for e in gamma.entries] == [
+        {("base", 1)},
+        {("base", 2), ("base", 3)},
     ]
     assert [e.path for e in gamma.entries] == [(), ()]
 
@@ -75,14 +104,22 @@ def test_gamma_depth_two_entry_count():
     assert len(gamma.entries) == 18
 
 
+def free_alpha(j, terms, k):
+    # alpha's definition on free terms, sharing no code with the term table
+    image = {("nu", j, t) for t in terms}
+    image |= {("batom", j, r) for r in range(1, k + 1)}
+    image |= {("nu", j, ("base", 2 * l)) for l in range(1, j + 1)}
+    return frozenset(image)
+
+
 def replayed_gamma(fam, prefix_len, w, depth, k):
     # every path from scratch: alpha applied innermost layer first
     entries = []
     for path in itertools.product(range(-w, w + 1), repeat=depth):
         for s, members in enumerate(window(fam, prefix_len).sets, 1):
-            terms = frozenset(Base(i) for i in members)
+            terms = frozenset(("base", i) for i in members)
             for j in reversed(path):
-                terms = alpha(j, terms, k)
+                terms = free_alpha(j, terms, k)
             entries.append((path, s, terms))
     return entries
 
@@ -101,8 +138,11 @@ def test_gamma_layers_equal_per_path_replay(sets, a, b, t, depth, w, k):
     assume((a, b) != (0, 0))
     fam = ProjectionFamily(tuple(sets), DisjointBlocks(a, b, 7))
     gamma = gamma_iterate(fam, t, w, depth, k)
-    got = [(e.path, e.source, e.terms) for e in gamma.entries]
+    got = [(e.path, e.source, frees(gamma.table, e.terms)) for e in gamma.entries]
     assert got == replayed_gamma(fam, t, w, depth, k)
+    # hash-consing: one id per distinct free term, and every id is in use
+    distinct = frozenset().union(*(e.terms for e in gamma.entries))
+    assert len(frees(gamma.table, distinct)) == len(distinct)
 
 
 def test_gamma_entry_cap():
@@ -115,14 +155,23 @@ def test_depth_one_entries_contain_their_pool():
     gamma = gamma_iterate(fam, prefix_len=3, window_w=1, depth=1, k=1)
     for entry in gamma.entries:
         j = entry.path[0]
-        assert BAtom(j, 1) in entry.terms
+        assert ("batom", j, 1) in frees(gamma.table, entry.terms)
+
+
+def test_every_gamma_call_has_its_own_table():
+    odd = reindex_to_odd(triangular())
+    first = gamma_iterate(odd, 3, 1, 2, 0)
+    size = len(first.table.nodes)
+    second = gamma_iterate(odd, 3, 1, 2, 0)
+    assert second.table is not first.table
+    assert len(first.table.nodes) == len(second.table.nodes) == size
 
 
 def test_build_transversal_triangular_depth_one():
     fam = reindex_to_odd(triangular())
     gamma = gamma_iterate(fam, prefix_len=2, window_w=1, depth=1, k=0)
     trans = build_transversal(gamma, fam, 0, find_tight_set(triangular()).positions)
-    assert trans.assignment[((1,), 1)] == Nu(1, Base(1))
+    assert term_to_doc(trans.table, trans.assignment[((1,), 1)]) == ["nu", 1, ["base", 1]]
     assert verify_transversal(gamma, trans)
 
 
@@ -130,8 +179,8 @@ def test_build_transversal_uses_the_pool_for_tight_sources():
     odd = reindex_to_odd(padded_triangular())
     gamma = gamma_iterate(odd, prefix_len=2, window_w=0, depth=1, k=1)
     trans = build_transversal(gamma, odd, 1, find_tight_set(padded_triangular()).positions)
-    assert trans.assignment[((0,), 1)] == Nu(0, Base(1))
-    assert trans.assignment[((0,), 2)] == BAtom(0, 1)
+    assert term_to_doc(trans.table, trans.assignment[((0,), 1)]) == ["nu", 0, ["base", 1]]
+    assert term_to_doc(trans.table, trans.assignment[((0,), 2)]) == ["batom", 0, 1]
 
 
 def test_build_transversal_depth_zero_is_an_sdr():
@@ -151,10 +200,15 @@ def test_build_transversal_depth_zero_detects_collisions():
 def test_verify_transversal_rejects_duplicates_and_strays():
     fam = reindex_to_odd(triangular())
     gamma = gamma_iterate(fam, prefix_len=2, window_w=0, depth=0, k=0)
-    dup = Transversal(0, {((), 1): Base(1), ((), 2): Base(1)})
+    t = gamma.table
+    dup = Transversal(0, t, {((), 1): t.base(1), ((), 2): t.base(1)})
     assert not verify_transversal(gamma, dup)
-    stray = Transversal(0, {((), 1): Base(1), ((), 2): Base(99)})
+    stray = Transversal(0, t, {((), 1): t.base(1), ((), 2): t.base(99)})
     assert not verify_transversal(gamma, stray)
+    # the same ids are meaningless under another table
+    good = build_transversal(gamma, fam, 0, ())
+    assert verify_transversal(gamma, good)
+    assert not verify_transversal(gamma, Transversal(0, TermTable(), good.assignment))
 
 
 def test_hall_check_gamma_examples():
@@ -174,7 +228,8 @@ def test_lifting_identity():
     shallow = build_transversal(gamma_iterate(odd, 3, 1, 1, k), odd, k, f0)
     deep = build_transversal(gamma_iterate(odd, 3, 1, 2, k), odd, k, f0)
     for (path, source), term in deep.assignment.items():
-        assert term == Nu(path[0], shallow.assignment[(path[1:], source)])
+        inner = term_to_doc(shallow.table, shallow.assignment[(path[1:], source)])
+        assert term_to_doc(deep.table, term) == ["nu", path[0], inner]
 
 
 def test_simulate_reports_all_checks():
@@ -220,17 +275,77 @@ def test_simulate_always_verifies_on_supported_families(depth, w, t):
     idents=st.frozensets(st.integers(1, 9), max_size=4),
 )
 def test_alpha_output_matches_its_definition(j, k, idents):
-    terms = frozenset(Base(i) for i in idents)
-    got = alpha(j, terms, k)
-    expected = {Nu(j, t) for t in terms}
-    expected |= {BAtom(j, r) for r in range(1, k + 1)}
-    expected |= {Nu(j, Base(2 * l)) for l in range(1, j + 1)}
-    assert got == expected
+    t = TermTable()
+    got = alpha(t, j, frozenset(map(t.base, idents)), k)
+    assert frees(t, got) == free_alpha(j, frozenset(("base", i) for i in idents), k)
 
 
 def test_ordered_matching_long_augmenting_path():
     # greedy gives source j its first candidate j; the last source then
     # needs one alternating path through all 5000 sources
     candidates = [[j, j + 1] for j in range(1, 5000)] + [[1]]
-    choice = _ordered_matching(candidates)
+    choice = _ordered_matching([partial(iter, c) for c in candidates])
     assert choice == list(range(2, 5001)) + [1]
+
+
+@given(
+    members=st.frozensets(st.integers(1, 9).map(lambda i: 2 * i - 1), max_size=4),
+    j=st.integers(-3, 3),
+    k=st.integers(0, 2),
+    pooled=st.booleans(),
+)
+def test_depth1_candidates_keep_their_preference_order(members, j, k, pooled):
+    # own nu-elements by identifier, then the markers, then (tight only) the pool
+    t = TermTable()
+    got = [term_to_doc(t, c) for c in _depth1_candidates(t, members, j, k, pooled)]
+    expected = [["nu", j, ["base", i]] for i in sorted(members)]
+    expected += [["nu", j, ["base", 2 * l]] for l in range(1, j + 1)]
+    expected += [["batom", j, r] for r in range(1, k + 1)] if pooled else []
+    assert got == expected
+
+
+def test_depth1_candidates_are_built_as_read():
+    t = TermTable()
+    stream = _depth1_candidates(t, frozenset(range(1, 400, 2)), 3, 2, True)
+    assert len(t.nodes) == 1
+    first = next(stream)
+    # one base and one nu node, not the 200 + 3 + 2 candidates of the list
+    assert term_to_doc(t, first) == ["nu", 3, ["base", 1]] and len(t.nodes) == 3
+
+
+def test_build_transversal_interns_no_new_terms():
+    # every depth-1 candidate it reads is already a subterm of Gamma
+    odd = reindex_to_odd(padded_triangular())
+    tight = find_tight_set(odd)
+    for depth in (1, 2):
+        gamma = gamma_iterate(odd, 6, 2, depth, tight.k)
+        size = len(gamma.table.nodes)
+        trans = build_transversal(gamma, odd, tight.k, tight.positions)
+        assert verify_transversal(gamma, trans)
+        assert len(gamma.table.nodes) == size
+
+
+def recursion_surplus(odd, p, w, depth, k):
+    s = max_surplus(window(odd, p)).max_surplus
+    for _ in range(depth):
+        s = sum(max(0, s - k - max(j, 0)) for j in range(-w, w + 1))
+    return s
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sets=st.lists(st.frozensets(st.integers(1, 6), max_size=3), max_size=4),
+    a=st.integers(0, 2),
+    b=st.integers(0, 2),
+    p=st.integers(0, 5),
+    depth=st.integers(0, 3),
+    w=st.integers(0, 2),
+    k=st.integers(0, 2),
+)
+def test_hall_check_gamma_agrees_with_the_surplus_recursion(sets, a, b, p, depth, w, k):
+    # Gamma blocks under different outer j are disjoint and share k + max(j, 0)
+    # fresh terms, so the deficiency s_d = sum_j max(0, s_{d-1} - k - max(j, 0))
+    assume((a, b) != (0, 0))
+    odd = reindex_to_odd(ProjectionFamily(tuple(sets), DisjointBlocks(a, b, 7)))
+    gamma = gamma_iterate(odd, p, w, depth, k)
+    assert hall_check_gamma(gamma) == (recursion_surplus(odd, p, w, depth, k) == 0)
