@@ -125,11 +125,30 @@ def cmd_euler(args) -> tuple[dict, int]:
         if isinstance(entry, list):
             bundles.append(indicator_vector(frozenset(_positive_ints(entry))))
         elif isinstance(entry, dict):
-            bundles.append({int(i): c for i, c in entry.items()})
+            bundles.append(_coefficient_map(entry))
         else:
             raise FamilyFormatError(f"bundle must be an array or an object, got {entry!r}")
     poly = euler_class(bundles)
     return {"terms": poly.to_doc(), "zero": not poly}, 0
+
+
+def _coefficient_map(entry: dict) -> dict[int, object]:
+    """Integer coordinates for the string keys of a JSON coefficient map.
+
+    Keys naming the same coordinate ("1" and "01") are rejected rather than
+    silently merged, as index_set rejects duplicate members.
+    """
+    out: dict[int, object] = {}
+    for key, c in entry.items():
+        try:
+            i = int(key)
+        except ValueError:
+            msg = f"Chern coordinates are positive integers, got {key!r}"
+            raise FamilyFormatError(msg) from None
+        if i in out:
+            raise FamilyFormatError(f"Chern coordinate {key!r} repeats coordinate {i}")
+        out[i] = c
+    return out
 
 
 def _positive_ints(entries: list) -> list[int]:
@@ -175,7 +194,11 @@ def oracle_check(max_sets: int, max_ground: int, random_cases: int, seed: int) -
     """
     if max_sets < 1 or max_ground < 1:
         raise OracleBoundsError("bounds must be >= 1")
-    if max_sets > 7:
+    if random_cases < 0:
+        raise OracleBoundsError("random cases must be >= 0")
+    # at max_ground 18 the 2 ** 18 one-set families alone pass the cap, so
+    # refuse before computing a total that grows as 2 ** (max_ground * s)
+    if max_sets > 7 or max_ground > 17:
         raise OracleBoundsError("bounds too large for exhaustive oracle")
     total = sum((2 ** max_ground) ** s for s in range(1, max_sets + 1))
     if total > 250_000:
@@ -223,15 +246,33 @@ def _four_way_agree(sets: tuple[frozenset[int], ...]) -> bool:
     by_matching = sdr_exists(fam)
     by_euler = bool(euler_class(indicator_vector(s) for s in sets))
     by_permanent = sdr_count(fam) > 0
-    # direct subset sweep, sharing no code with the matching engine
-    by_sweep = True
-    positions = list(sets)
-    for mask in range(1, 1 << len(positions)):
-        chosen = [positions[i] for i in range(len(positions)) if mask >> i & 1]
-        if len(chosen) > len(frozenset().union(*chosen)):
-            by_sweep = False
-            break
+    by_sweep = _subset_sweep(sets)
     return by_matching == by_euler == by_permanent == by_sweep
+
+
+def _subset_sweep(sets: Sequence[frozenset[int]]) -> bool:
+    """Hall's condition by direct sweep: no subset of positions is deficient.
+
+    Shares no code with the matching engine.  Each set becomes a bitmask with
+    one bit per ground element, and the union of a subset of positions is the
+    union of the subset without its lowest position plus that position's row,
+    so every subset costs one OR; the sweep stops at the first subset with
+    more positions than elements.
+    """
+    bit = {e: 1 << k for k, e in enumerate(frozenset().union(*sets))}
+    rows = {}
+    for p, s in enumerate(sets):
+        row = 0
+        for e in s:
+            row |= bit[e]
+        rows[1 << p] = row
+    union = [0] * (1 << len(sets))
+    for mask in range(1, len(union)):
+        low = mask & -mask
+        u = union[mask] = union[mask ^ low] | rows[low]
+        if mask.bit_count() > u.bit_count():
+            return False
+    return True
 
 
 def build_parser() -> argparse.ArgumentParser:

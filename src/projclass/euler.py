@@ -140,12 +140,44 @@ class MultilinearPoly:
 def euler_class(bundles: Iterable[Mapping[int, int]]) -> MultilinearPoly:
     """Euler class of a direct sum of line bundles: product of their linear forms.
 
-    The empty sum has Euler class 1.
+    The empty sum has Euler class 1.  Every bundle is validated by
+    chern_vector, even after the product has vanished.  The product is
+    folded over integer bitmasks: the k-th of the sorted coordinates gets the
+    bit 1 << k (never a shift by the coordinate, which may be huge), so m & b
+    detects a repeated variable, which x_i^2 = 0 kills, and m | b joins two
+    supports.  Coefficients that cancel are dropped at once, the fold stops
+    at zero, and the surviving masks are decoded to frozensets once, at the
+    end: the same polynomial as the fold of linear_form products under
+    MultilinearPoly.__mul__.
     """
-    out = MultilinearPoly.one()
-    for v in bundles:
-        out = out * MultilinearPoly.linear_form(v)
-    return out
+    vectors = [chern_vector(v) for v in bundles]
+    coords = sorted({i for v in vectors for i in v})
+    bit = {i: 1 << k for k, i in enumerate(coords)}
+    product = {0: 1}
+    for v in vectors:
+        form = [(bit[i], c) for i, c in v.items()]
+        out: dict[int, int] = {}
+        for m, a in product.items():
+            for b, c in form:
+                if not m & b:
+                    key = m | b
+                    total = out.get(key, 0) + a * c
+                    if total:
+                        out[key] = total
+                    else:
+                        del out[key]  # a * c != 0, so key was already there
+        product = out
+        if not product:
+            break
+    terms = {}
+    for m, a in product.items():
+        support = []
+        while m:
+            low = m & -m
+            support.append(coords[low.bit_length() - 1])
+            m ^= low
+        terms[frozenset(support)] = a
+    return MultilinearPoly(terms)
 
 
 def sdr_count(fam: FiniteFamily) -> int:

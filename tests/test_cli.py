@@ -4,9 +4,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from projclass import cli
 from projclass.cli import main, oracle_check
 from projclass.errors import OracleBoundsError
+from projclass.euler import MultilinearPoly
 
 
 @pytest.fixture
@@ -339,3 +342,74 @@ def test_deep_terms_dump_decodes_every_wrap(tri_file):
         assert term[1] == 0
         term, wraps = term[2], wraps + 1
     assert (wraps, term) == (400, ["base", 1])
+
+
+def test_euler_rejects_keys_naming_one_coordinate(capsys):
+    code, out, err = run(capsys, "euler", "--bundles", '[{"1": 1, "01": 2}]')
+    assert code == 2 and out == ""
+    assert "'01'" in err and len(err.splitlines()) == 1
+
+
+def test_euler_rejects_non_integer_keys(capsys):
+    code, out, err = run(capsys, "euler", "--bundles", '[[1], {"x": 1}]')
+    assert code == 2 and out == ""
+    assert "'x'" in err and "invalid literal" not in err
+    assert len(err.splitlines()) == 1
+
+
+def test_oracle_check_rejects_negative_random(capsys):
+    code, out, err = run(capsys, "oracle-check", "--random", "-5")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    with pytest.raises(OracleBoundsError):
+        oracle_check(2, 2, -1, 0)
+
+
+def test_oracle_check_refuses_a_huge_ground_before_sizing_it(capsys):
+    # (2 ** max_ground) ** s is never formed: at 10 ** 12 it could not be
+    code, out, err = run(
+        capsys, "oracle-check", "--max-sets", "1", "--max-ground", "1000000000000"
+    )
+    assert code == 2 and out == ""
+    assert "bounds too large" in err
+    with pytest.raises(OracleBoundsError):
+        oracle_check(1, 18, 0, 0)
+
+
+def frozenset_sweep(sets):
+    """The subset sweep over frozensets that _subset_sweep replaced."""
+    positions = list(sets)
+    for mask in range(1, 1 << len(positions)):
+        chosen = [positions[i] for i in range(len(positions)) if mask >> i & 1]
+        if len(chosen) > len(frozenset().union(*chosen)):
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sets=st.lists(
+        st.frozensets(st.integers(1, 6) | st.sampled_from([-1, 0, 2**70]), max_size=5),
+        max_size=7,
+    ).map(tuple)
+)
+def test_subset_sweep_equals_the_frozenset_sweep(sets):
+    assert cli._subset_sweep(sets) == frozenset_sweep(sets)
+
+
+@pytest.mark.parametrize(
+    "route, lie",
+    [
+        ("sdr_exists", lambda real: lambda fam: not real(fam)),
+        (
+            "euler_class",
+            lambda real: lambda vs: MultilinearPoly.zero() if real(vs) else MultilinearPoly.one(),
+        ),
+        ("sdr_count", lambda real: lambda fam: 0 if real(fam) else 1),
+        ("_subset_sweep", lambda real: lambda sets: not real(sets)),
+    ],
+)
+def test_oracle_check_consults_every_route(monkeypatch, route, lie):
+    assert oracle_check(2, 2, 0, 0)["disagreements"] == 0
+    monkeypatch.setattr(cli, route, lie(getattr(cli, route)))
+    assert oracle_check(2, 2, 0, 0)["disagreements"] == 4 + 16

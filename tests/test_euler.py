@@ -1,6 +1,8 @@
 import itertools
+from functools import reduce
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import brute_sdr_count, finite
 from projclass.euler import (
@@ -11,6 +13,7 @@ from projclass.euler import (
     sdr_count,
     tensor_line_bundles,
 )
+from projclass.errors import FamilyFormatError
 from projclass.family import FiniteFamily
 from projclass.hall import sdr_exists
 
@@ -156,3 +159,48 @@ def test_triple_oracle_random_five_by_five():
         b = bool(euler_class(indicator_vector(s) for s in combo))
         c = sdr_count(fam) > 0
         assert a == b == c, combo
+
+
+# small coordinates make repeated variables and cancellation likely; the big
+# ones (up to 2**70) would break any monomial encoding that shifts by them
+coordinates = (
+    st.integers(1, 4) | st.sampled_from([2**40, 2**64 + 3, 2**70]) | st.integers(1, 2**70)
+)
+signed_bundles = st.lists(
+    st.dictionaries(coordinates, st.integers(-3, 3), max_size=4), max_size=7
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vs=signed_bundles)
+def test_euler_class_equals_the_frozenset_fold(vs):
+    fold = reduce(
+        MultilinearPoly.__mul__, map(MultilinearPoly.linear_form, vs), MultilinearPoly.one()
+    )
+    poly = euler_class(vs)
+    assert poly == fold
+    assert poly.to_doc() == fold.to_doc()
+
+
+def test_euler_class_cancels_signed_coefficients():
+    # (x1 - x2)(x1 + x2) = x1 x2 - x2 x1 = 0
+    assert euler_class([{1: 1, 2: -1}, {1: 1, 2: 1}]) == 0
+    assert euler_class([{1: 1, 2: -1}, {1: 1, 2: 1}, {3: 2}]) == 0
+    assert euler_class([{1: 1}, {}]) == 0
+
+
+def test_euler_class_huge_coordinates_are_indexed_not_shifted():
+    big = 2**70
+    poly = euler_class([{big: 3, 10**12: -2}, {big: 1, 5: 1}])
+    assert poly.terms == {
+        frozenset({5, big}): 3,
+        frozenset({5, 10**12}): -2,
+        frozenset({10**12, big}): -2,
+    }
+
+
+def test_euler_class_validates_bundles_after_the_product_vanished():
+    with pytest.raises(FamilyFormatError):
+        euler_class([{1: 1}, {1: 1}, {0: 1}])
+    with pytest.raises(FamilyFormatError):
+        euler_class([{1: 1}, {1: 1}, {2: True}])
