@@ -182,23 +182,6 @@ def test_euler_class_equals_the_frozenset_fold(vs):
     assert poly.to_doc() == fold.to_doc()
 
 
-def test_euler_class_cancels_signed_coefficients():
-    # (x1 - x2)(x1 + x2) = x1 x2 - x2 x1 = 0
-    assert euler_class([{1: 1, 2: -1}, {1: 1, 2: 1}]) == 0
-    assert euler_class([{1: 1, 2: -1}, {1: 1, 2: 1}, {3: 2}]) == 0
-    assert euler_class([{1: 1}, {}]) == 0
-
-
-def test_euler_class_huge_coordinates_are_indexed_not_shifted():
-    big = 2**70
-    poly = euler_class([{big: 3, 10**12: -2}, {big: 1, 5: 1}])
-    assert poly.terms == {
-        frozenset({5, big}): 3,
-        frozenset({5, 10**12}): -2,
-        frozenset({10**12, big}): -2,
-    }
-
-
 def test_euler_class_validates_bundles_after_the_product_vanished():
     with pytest.raises(FamilyFormatError):
         euler_class([{1: 1}, {1: 1}, {0: 1}])
