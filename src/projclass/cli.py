@@ -37,9 +37,20 @@ from .family import FiniteFamily, ProjectionFamily, parse_family
 from .hall import decide_trivial_minorization, sdr_exists
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    # json.loads keeps the last of a repeated key, which would decide a
+    # document other than the one written
+    doc: dict[str, object] = {}
+    for key, value in pairs:
+        if key in doc:
+            raise FamilyFormatError(f"JSON object repeats the key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def _loads(text: str) -> object:
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError:
         raise json.JSONDecodeError("arrays or objects nested too deeply", text, 0) from None
 
@@ -135,16 +146,16 @@ def cmd_euler(args) -> tuple[dict, int]:
 def _coefficient_map(entry: dict) -> dict[int, object]:
     """Integer coordinates for the string keys of a JSON coefficient map.
 
-    Keys naming the same coordinate ("1" and "01") are rejected rather than
-    silently merged, as index_set rejects duplicate members.
+    Only plain ASCII decimal keys are coordinates: int() would also take
+    signs, spaces, underscores and other scripts' digits.  Keys naming the
+    same coordinate ("1" and "01") are rejected rather than silently merged,
+    as index_set rejects duplicate members.
     """
     out: dict[int, object] = {}
     for key, c in entry.items():
-        try:
-            i = int(key)
-        except ValueError:
-            msg = f"Chern coordinates are positive integers, got {key!r}"
-            raise FamilyFormatError(msg) from None
+        if not (key.isascii() and key.isdecimal()):
+            raise FamilyFormatError(f"Chern coordinates are positive integers, got {key!r}")
+        i = int(key)
         if i in out:
             raise FamilyFormatError(f"Chern coordinate {key!r} repeats coordinate {i}")
         out[i] = c

@@ -4,20 +4,23 @@ A summand-permuting endomorphism acts on an index set J through alpha_j:
 push every term of J through the injective pairing nu(j, .), adjoin a pool of
 k fresh atoms shared by the whole j-layer, and for j >= 1 adjoin j marker
 terms.  Iterating over all j in a window [-w, w] yields the orbit families
-Gamma_m; entry counts grow as (2w+1)^m per source.  They are built layer by
-layer, Gamma_m = union over j of alpha_j(Gamma_{m-1}), so alpha runs once per
-entry of every layer instead of once per step of every path.
+Gamma_m; entry counts grow as (2w+1)^m per source.
 
-The simulator builds, for every depth m >= 1, an injective transversal of
+The simulator certifies, for every depth m, an injective transversal of
 Gamma_m (one member per entry's set, all members distinct).  That is the
 Hall-type certificate that no endomorphism image of the original projection
 picks up a trivial rank-one subprojection, which is what stable finiteness
-needs from the combinatorics.  A transversal of the depth-1 layer is found by
-matching, with the pool atoms reserved for the tight positions F0; higher
-depths lift it through t(alpha_j(I)) = nu(j, t(I)), one wrap per layer.
+needs from the combinatorics.  None of it builds Gamma's sets:
+build_transversal matches the depth-1 layer, with the pool atoms reserved for
+the tight positions F0, and lifts the choice one layer at a time,
+t(alpha_j(I)) = nu(j, t(I)); verify_transversal reads membership in alpha's
+image off each term, layer by layer; and hall_ok comes from orbit_surplus,
+because the Gamma blocks under different outer layers j are disjoint and
+each shares only k + max(j, 0) fresh terms.  gamma_iterate and
+hall_check_gamma materialize Gamma and match it, as the tests' reference.
 
 Terms are hash-consed into positive integer ids by a TermTable, which one
-gamma_iterate call creates and its GammaFamily holds.  A term is a node
+build_transversal or gamma_iterate call creates.  A term is a node
 ("base", i), ("batom", j, r) or ("nu", j, child id), and each distinct node
 gets exactly one id, so nu stays injective (nu(j, a) = nu(j', b) only when
 j = j' and a = b) and never meets a base or pool atom: coding collisions are
@@ -31,6 +34,7 @@ verbatim.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -38,7 +42,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .classify import find_tight_set
 from .errors import HallViolationError, WindowTooLargeError
 from .family import FiniteFamily, ProjectionFamily, reindex_to_odd, window
-from .hall import sdr_exists
+from .hall import max_surplus, sdr_exists
 
 DEFAULT_ENTRY_CAP = 10_000
 
@@ -130,6 +134,18 @@ class GammaFamily:
     table: TermTable = field(repr=False, compare=False)
 
 
+def entry_count(depth: int, window_w: int, prefix_len: int, entry_cap: int) -> int:
+    """The number of orbit entries, (2w+1)^depth * prefix_len, refused past the cap."""
+    if depth < 0 or window_w < 0 or prefix_len < 0:
+        raise ValueError("depth, window and prefix length must be >= 0")
+    count = (2 * window_w + 1) ** depth * prefix_len
+    if count > entry_cap:
+        raise WindowTooLargeError(
+            f"window too large: {count} entries exceed the cap of {entry_cap}"
+        )
+    return count
+
+
 def gamma_iterate(
     fam: ProjectionFamily,
     prefix_len: int,
@@ -147,13 +163,7 @@ def gamma_iterate(
     outer loop, which keeps that order.  The terms are interned in a fresh
     TermTable, so nothing is shared between calls.
     """
-    if depth < 0 or window_w < 0 or prefix_len < 0:
-        raise ValueError("depth, window and prefix length must be >= 0")
-    count = (2 * window_w + 1) ** depth * prefix_len
-    if count > entry_cap:
-        raise WindowTooLargeError(
-            f"window too large: {count} entries exceed the cap of {entry_cap}"
-        )
+    entry_count(depth, window_w, prefix_len, entry_cap)
     table = TermTable()
     base = window(fam, prefix_len)
     entries = [
@@ -263,23 +273,28 @@ def _depth1_candidates(
 
 
 def build_transversal(
-    gamma: GammaFamily, fam: ProjectionFamily, k: int, tight_positions
+    fam: ProjectionFamily, depth: int, window_w: int, prefix_len: int, k: int, tight_positions
 ) -> Transversal:
-    """Construct an injective transversal of the orbit family.
+    """Construct an injective transversal of the orbit family without building the family.
 
     Depth 0 is the identity layer: a transversal is exactly a system of
     distinct representatives of the original window, so it exists iff the
     window satisfies Hall's condition.  For depth >= 1, each layer j gets its
-    own matching with the pool atoms reserved for the tight positions; higher
-    depths wrap the depth-1 choice in nu, one layer per path step, which
-    keeps distinct paths disjoint because nu is injective.
+    own matching with the pool atoms reserved for the tight positions.  The
+    depth-1 choices are then lifted one layer at a time, each entry under j
+    wrapped in nu(j, .), which keeps distinct paths disjoint because nu is
+    injective.  With j in the outer loop the terms come in Gamma's path order
+    (itertools.product over the layers, sources innermost), and every wrap is
+    interned once per lifted entry, in a fresh TermTable.
     """
-    table = gamma.table
-    base = window(fam, gamma.sources)
-    tight = frozenset(tight_positions)
-    trans = Transversal(gamma.depth, table)
+    table = TermTable()
+    base = window(fam, prefix_len)
+    trans = Transversal(depth, table)
+    if not base.sets:
+        # no sources, no entries: there is nothing to match or to enumerate
+        return trans
 
-    if gamma.depth == 0:
+    if depth == 0:
         candidates = [
             partial(iter, [table.base(i) for i in sorted(members)]) for members in base.sets
         ]
@@ -292,8 +307,10 @@ def build_transversal(
             trans.assignment[((), s)] = term
         return trans
 
-    depth1: dict[tuple[int, int], int] = {}
-    for j in range(-gamma.window, gamma.window + 1):
+    layers = range(-window_w, window_w + 1)
+    tight = frozenset(tight_positions)
+    terms: list[int] = []
+    for j in layers:
         candidates = [
             partial(_depth1_candidates, table, members, j, k, s in tight)
             for s, members in enumerate(base.sets, 1)
@@ -301,43 +318,84 @@ def build_transversal(
         choice = _ordered_matching(candidates)
         if choice is None:
             raise HallViolationError("Hall violation: premises inconsistent")
-        for s, term in enumerate(choice, 1):
-            depth1[(j, s)] = term
+        terms.extend(choice)
 
     nu = table.nu
-    for entry in gamma.entries:
-        term = depth1[(entry.path[-1], entry.source)]
-        for j in reversed(entry.path[:-1]):
-            term = nu(j, term)
-        trans.assignment[(entry.path, entry.source)] = term
+    for _ in range(depth - 1):
+        terms = [nu(j, t) for j in layers for t in terms]
+    sources = range(1, len(base.sets) + 1)
+    keys = ((path, s) for path in itertools.product(layers, repeat=depth) for s in sources)
+    trans.assignment = dict(zip(keys, terms))
     return trans
 
 
-def verify_transversal(gamma: GammaFamily, trans: Transversal) -> bool:
+def verify_transversal(
+    trans: Transversal, fam: ProjectionFamily, depth: int, window_w: int, prefix_len: int, k: int
+) -> bool:
     """Membership and injectivity check, independent of how the transversal was built.
 
-    Term ids only mean something inside one table, so a transversal over
-    another table than Gamma's is rejected outright.
+    Every (path, source) of Gamma's canonical enumeration must have a term,
+    and no other key may.  Membership is alpha's definition read off the
+    term, decoded through the transversal's table outermost layer first: at
+    layer j the term may be a pool atom batom(j, r) with 1 <= r <= k or a
+    marker nu(j, base(2l)) with 1 <= l <= j, and is a member; otherwise it
+    must be nu(j, inner), and inner is checked at the next layer.  Past the
+    innermost layer it must be base(i) with i in the source's set.  An id the
+    table never issued is rejected.
     """
-    if trans.table is not gamma.table or len(trans.assignment) != len(gamma.entries):
+    nodes = trans.table.nodes
+    assignment = trans.assignment
+    sets = window(fam, prefix_len).sets
+    if trans.depth != depth or len(assignment) != (2 * window_w + 1) ** depth * prefix_len:
         return False
+    layers = range(-window_w, window_w + 1)
     seen: set[int] = set()
-    for entry in gamma.entries:
-        term = trans.assignment.get((entry.path, entry.source))
-        if term is None or term not in entry.terms or term in seen:
-            return False
-        seen.add(term)
+    for s, members in enumerate(sets, 1):
+        for path in itertools.product(layers, repeat=depth):
+            term = assignment.get((path, s))
+            if term is None or not 0 < term < len(nodes) or term in seen:
+                return False
+            seen.add(term)
+            node = nodes[term]
+            for j in path:
+                if node[0] == "batom":
+                    if node[1] == j and 1 <= node[2] <= k:
+                        break  # a pool atom of layer j
+                    return False
+                if node[0] != "nu" or node[1] != j:
+                    return False
+                node = nodes[node[2]]
+                if node[0] == "base" and node[1] in range(2, 2 * j + 1, 2):
+                    break  # a marker of layer j
+            else:
+                if node[0] != "base" or node[1] not in members:
+                    return False
     return True
 
 
 def hall_check_gamma(gamma: GammaFamily) -> bool:
-    """Independent confirmation that the orbit family satisfies Hall's condition.
+    """Hall's condition on the materialized orbit family, by matching.
 
     The term ids are positive integers already, so Gamma's sets go to the
-    matching engine as they are; this check shares no code path with
-    build_transversal.
+    matching engine as they are.  The tests hold orbit_surplus to it.
     """
     return sdr_exists(FiniteFamily(tuple(e.terms for e in gamma.entries)))
+
+
+def orbit_surplus(fam: ProjectionFamily, prefix_len: int, window_w: int, depth: int, k: int) -> int:
+    """Hall deficiency of the depth-`depth` orbit family, without building it.
+
+    The Gamma blocks under different outer layers j are disjoint, and the
+    block under j adds only the k pool atoms and max(j, 0) markers it shares,
+    so s_d = sum over j in -w..w of max(0, s_{d-1} - k - max(j, 0)), starting
+    from the window's own deficiency s_0.  Hall's condition holds iff it is 0.
+    """
+    s = max_surplus(window(fam, prefix_len), 1).max_surplus
+    for _ in range(depth):
+        if s == 0:
+            break  # every later s_d is a sum of max(0, -k - max(j, 0)) = 0
+        s = sum(max(0, s - k - max(j, 0)) for j in range(-window_w, window_w + 1))
+    return s
 
 
 @dataclass
@@ -349,7 +407,6 @@ class SimulationReport:
     hall_ok: bool
     k: int
     tight_positions: tuple[int, ...]
-    gamma: GammaFamily
     transversal: Transversal
 
     def to_doc(self) -> dict:
@@ -375,19 +432,19 @@ def simulate(
     The family is first relabelled onto odd identifiers so the even marker
     identifiers are fresh; k and the tight set are computed from the family
     unless k is supplied, in which case it must agree with the computed one.
+    The entry cap is checked before anything is built.
     """
     odd = reindex_to_odd(fam)
     tight = find_tight_set(odd)
     if k is not None and k != tight.k:
         raise ValueError(f"supplied k={k} disagrees with the computed k={tight.k}")
-    gamma = gamma_iterate(odd, prefix_len, window_w, depth, tight.k, entry_cap)
-    trans = build_transversal(gamma, odd, tight.k, tight.positions)
+    entries = entry_count(depth, window_w, prefix_len, entry_cap)
+    trans = build_transversal(odd, depth, window_w, prefix_len, tight.k, tight.positions)
     return SimulationReport(
-        entries=len(gamma.entries),
-        transversal_ok=verify_transversal(gamma, trans),
-        hall_ok=hall_check_gamma(gamma),
+        entries=entries,
+        transversal_ok=verify_transversal(trans, odd, depth, window_w, prefix_len, tight.k),
+        hall_ok=orbit_surplus(odd, prefix_len, window_w, depth, tight.k) == 0,
         k=tight.k,
         tight_positions=tight.positions,
-        gamma=gamma,
         transversal=trans,
     )

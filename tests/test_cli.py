@@ -357,6 +357,32 @@ def test_euler_rejects_non_integer_keys(capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("key", ["1_0", " +3 ", "\u0663"], ids=["underscore", "sign-and-spaces", "arabic-indic-digit"])
+def test_euler_rejects_keys_that_are_not_ascii_decimals(capsys, key):
+    # int() takes all three, as 10, 3 and 3
+    code, out, err = run(capsys, "euler", "--bundles", json.dumps([{key: 1}]))
+    assert code == 2 and out == ""
+    assert repr(key) in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("euler", "--bundles", '[{"1": 1, "1": 2}]'),
+        ("classify", "--family", "DUP"),
+    ],
+    ids=["euler-bundle", "family-prefix"],
+)
+def test_json_objects_with_a_repeated_key_are_rejected(capsys, tmp_path, command):
+    # json.loads alone keeps the last value: 2*x1, and the family's second prefix
+    dup = tmp_path / "dup.json"
+    dup.write_text('{"prefix": [[1]], "prefix": [[1], [1]]}')
+    code, out, err = run(capsys, *[str(dup) if a == "DUP" else a for a in command])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "repeats the key" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_oracle_check_rejects_negative_random(capsys):
     code, out, err = run(capsys, "oracle-check", "--random", "-5")
     assert code == 2 and out == ""

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import CONSTANT_ONE, padded_triangular, triangular
 from projclass.dynamics import (
+    DEFAULT_ENTRY_CAP,
     TermTable,
     Transversal,
     _depth1_candidates,
@@ -14,14 +15,14 @@ from projclass.dynamics import (
     build_transversal,
     gamma_iterate,
     hall_check_gamma,
+    orbit_surplus,
     simulate,
     term_to_doc,
     verify_transversal,
 )
 from projclass.errors import FullFamilyError, HallViolationError, WindowTooLargeError
 from projclass.classify import find_tight_set
-from projclass.family import DisjointBlocks, ProjectionFamily, reindex_to_odd, window
-from projclass.hall import max_surplus
+from projclass.family import Constant, DisjointBlocks, ProjectionFamily, reindex_to_odd, window
 
 
 def free_doc(doc):
@@ -167,18 +168,37 @@ def test_every_gamma_call_has_its_own_table():
     assert len(first.table.nodes) == len(second.table.nodes) == size
 
 
+def in_gamma(gamma, trans):
+    """The materialized membership check: every entry's term in its set, all distinct.
+
+    Terms are compared as free terms, since the transversal has its own table.
+    """
+    if len(trans.assignment) != len(gamma.entries):
+        return False
+    seen = set()
+    for entry in gamma.entries:
+        term = trans.assignment.get((entry.path, entry.source))
+        if term is None:
+            return False
+        free = free_doc(term_to_doc(trans.table, term))
+        if free not in frees(gamma.table, entry.terms) or free in seen:
+            return False
+        seen.add(free)
+    return True
+
+
 def test_build_transversal_triangular_depth_one():
     fam = reindex_to_odd(triangular())
     gamma = gamma_iterate(fam, prefix_len=2, window_w=1, depth=1, k=0)
-    trans = build_transversal(gamma, fam, 0, find_tight_set(triangular()).positions)
+    trans = build_transversal(fam, 1, 1, 2, 0, find_tight_set(triangular()).positions)
     assert term_to_doc(trans.table, trans.assignment[((1,), 1)]) == ["nu", 1, ["base", 1]]
-    assert verify_transversal(gamma, trans)
+    assert verify_transversal(trans, fam, 1, 1, 2, 0)
+    assert in_gamma(gamma, trans)
 
 
 def test_build_transversal_uses_the_pool_for_tight_sources():
     odd = reindex_to_odd(padded_triangular())
-    gamma = gamma_iterate(odd, prefix_len=2, window_w=0, depth=1, k=1)
-    trans = build_transversal(gamma, odd, 1, find_tight_set(padded_triangular()).positions)
+    trans = build_transversal(odd, 1, 0, 2, 1, find_tight_set(padded_triangular()).positions)
     assert term_to_doc(trans.table, trans.assignment[((0,), 1)]) == ["nu", 0, ["base", 1]]
     assert term_to_doc(trans.table, trans.assignment[((0,), 2)]) == ["batom", 0, 1]
 
@@ -186,29 +206,28 @@ def test_build_transversal_uses_the_pool_for_tight_sources():
 def test_build_transversal_depth_zero_is_an_sdr():
     fam = reindex_to_odd(triangular())
     gamma = gamma_iterate(fam, prefix_len=3, window_w=0, depth=0, k=0)
-    trans = build_transversal(gamma, fam, 0, find_tight_set(triangular()).positions)
-    assert verify_transversal(gamma, trans)
+    trans = build_transversal(fam, 0, 0, 3, 0, find_tight_set(triangular()).positions)
+    assert verify_transversal(trans, fam, 0, 0, 3, 0)
+    assert in_gamma(gamma, trans)
 
 
 def test_build_transversal_depth_zero_detects_collisions():
     fam = ProjectionFamily((frozenset({1}), frozenset({1})), None)
-    gamma = gamma_iterate(fam, prefix_len=2, window_w=0, depth=0, k=0)
     with pytest.raises(HallViolationError, match="Hall violation"):
-        build_transversal(gamma, fam, 0, find_tight_set(triangular()).positions)
+        build_transversal(fam, 0, 0, 2, 0, find_tight_set(triangular()).positions)
 
 
 def test_verify_transversal_rejects_duplicates_and_strays():
     fam = reindex_to_odd(triangular())
-    gamma = gamma_iterate(fam, prefix_len=2, window_w=0, depth=0, k=0)
-    t = gamma.table
+    t = TermTable()
     dup = Transversal(0, t, {((), 1): t.base(1), ((), 2): t.base(1)})
-    assert not verify_transversal(gamma, dup)
+    assert not verify_transversal(dup, fam, 0, 0, 2, 0)
     stray = Transversal(0, t, {((), 1): t.base(1), ((), 2): t.base(99)})
-    assert not verify_transversal(gamma, stray)
+    assert not verify_transversal(stray, fam, 0, 0, 2, 0)
     # the same ids are meaningless under another table
-    good = build_transversal(gamma, fam, 0, ())
-    assert verify_transversal(gamma, good)
-    assert not verify_transversal(gamma, Transversal(0, TermTable(), good.assignment))
+    good = build_transversal(fam, 0, 0, 2, 0, ())
+    assert verify_transversal(good, fam, 0, 0, 2, 0)
+    assert not verify_transversal(Transversal(0, TermTable(), good.assignment), fam, 0, 0, 2, 0)
 
 
 def test_hall_check_gamma_examples():
@@ -225,8 +244,8 @@ def test_lifting_identity():
     # deeper assignments are nu-wrapped copies of the shallower ones
     odd = reindex_to_odd(triangular())
     k, f0 = 0, find_tight_set(triangular()).positions
-    shallow = build_transversal(gamma_iterate(odd, 3, 1, 1, k), odd, k, f0)
-    deep = build_transversal(gamma_iterate(odd, 3, 1, 2, k), odd, k, f0)
+    shallow = build_transversal(odd, 1, 1, 3, k, f0)
+    deep = build_transversal(odd, 2, 1, 3, k, f0)
     for (path, source), term in deep.assignment.items():
         inner = term_to_doc(shallow.table, shallow.assignment[(path[1:], source)])
         assert term_to_doc(deep.table, term) == ["nu", path[0], inner]
@@ -319,17 +338,11 @@ def test_build_transversal_interns_no_new_terms():
     tight = find_tight_set(odd)
     for depth in (1, 2):
         gamma = gamma_iterate(odd, 6, 2, depth, tight.k)
-        size = len(gamma.table.nodes)
-        trans = build_transversal(gamma, odd, tight.k, tight.positions)
-        assert verify_transversal(gamma, trans)
-        assert len(gamma.table.nodes) == size
-
-
-def recursion_surplus(odd, p, w, depth, k):
-    s = max_surplus(window(odd, p)).max_surplus
-    for _ in range(depth):
-        s = sum(max(0, s - k - max(j, 0)) for j in range(-w, w + 1))
-    return s
+        trans = build_transversal(odd, depth, 2, 6, tight.k, tight.positions)
+        assert verify_transversal(trans, odd, depth, 2, 6, tight.k)
+        assert in_gamma(gamma, trans)
+        subterms = frees(gamma.table, range(1, len(gamma.table.nodes)))
+        assert frees(trans.table, range(1, len(trans.table.nodes))) <= subterms
 
 
 @settings(max_examples=80, deadline=None)
@@ -348,4 +361,197 @@ def test_hall_check_gamma_agrees_with_the_surplus_recursion(sets, a, b, p, depth
     assume((a, b) != (0, 0))
     odd = reindex_to_odd(ProjectionFamily(tuple(sets), DisjointBlocks(a, b, 7)))
     gamma = gamma_iterate(odd, p, w, depth, k)
-    assert hall_check_gamma(gamma) == (recursion_surplus(odd, p, w, depth, k) == 0)
+    assert hall_check_gamma(gamma) == (orbit_surplus(odd, p, w, depth, k) == 0)
+
+
+def materialized_simulate(fam, depth, w, p, k=None, cap=DEFAULT_ENTRY_CAP):
+    """The materialized route: Gamma built, and every check reading its sets.
+
+    Returns the report document and the transversal document, as simulate's
+    to_doc() gives them.
+    """
+    odd = reindex_to_odd(fam)
+    tight = find_tight_set(odd)
+    if k is not None and k != tight.k:
+        raise ValueError(f"supplied k={k} disagrees with the computed k={tight.k}")
+    gamma = gamma_iterate(odd, p, w, depth, tight.k, cap)
+    table, sets = gamma.table, window(odd, p).sets
+    if depth == 0:
+        choice = _ordered_matching(
+            [partial(iter, [table.base(i) for i in sorted(members)]) for members in sets]
+        )
+        if choice is None:
+            raise HallViolationError(
+                "Hall violation: the identity layer has no distinct-representative system"
+            )
+        assignment = {((), s): term for s, term in enumerate(choice, 1)}
+    else:
+        depth1 = {}
+        for j in range(-w, w + 1):
+            choice = _ordered_matching([
+                partial(_depth1_candidates, table, members, j, tight.k, s in tight.positions)
+                for s, members in enumerate(sets, 1)
+            ])
+            if choice is None:
+                raise HallViolationError("Hall violation: premises inconsistent")
+            depth1.update(((j, s), term) for s, term in enumerate(choice, 1))
+        assignment = {}
+        for entry in gamma.entries:
+            term = depth1[(entry.path[-1], entry.source)]
+            for j in reversed(entry.path[:-1]):
+                term = table.nu(j, term)
+            assignment[(entry.path, entry.source)] = term
+    # membership by Gamma's sets, as ids of Gamma's own table, plus injectivity
+    seen = set()
+    ok = len(assignment) == len(gamma.entries)
+    for entry in gamma.entries:
+        term = assignment.get((entry.path, entry.source))
+        if term is None or term not in entry.terms or term in seen:
+            ok = False
+            break
+        seen.add(term)
+    doc = {
+        "entries": len(gamma.entries),
+        "transversal_ok": ok,
+        "hall_ok": hall_check_gamma(gamma),
+        "k": tight.k,
+        "F0": list(tight.positions),
+    }
+    return doc, Transversal(depth, table, assignment).to_doc()
+
+
+def outcome(route, *args):
+    try:
+        return route(*args)
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+
+
+def simulated(fam, depth, w, p, k=None, cap=DEFAULT_ENTRY_CAP):
+    report = simulate(fam, depth, w, p, k, cap)
+    return report.to_doc(), report.transversal.to_doc()
+
+
+idents = st.integers(1, 6)
+tails = st.one_of(
+    st.none(),
+    st.builds(Constant, st.frozensets(idents, max_size=2)),
+    st.tuples(st.integers(0, 2), st.integers(0, 2))
+    .filter(lambda ab: ab != (0, 0))
+    .map(lambda ab: DisjointBlocks(ab[0], ab[1], 7)),
+)
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    sets=st.lists(st.frozensets(idents, max_size=3), max_size=4),
+    tail=tails,
+    p=st.integers(0, 5),
+    depth=st.integers(0, 3),
+    w=st.integers(0, 2),
+    k=st.one_of(st.none(), st.integers(0, 2)),
+    cap=st.sampled_from([DEFAULT_ENTRY_CAP, 20]),
+)
+def test_simulate_equals_the_materialized_route(sets, tail, p, depth, w, k, cap):
+    fam = ProjectionFamily(tuple(sets), tail)
+    args = (fam, depth, w, p, k, cap)
+    assert outcome(simulated, *args) == outcome(materialized_simulate, *args)
+
+
+def lifted_good(t):
+    """A valid depth-2, window-1 transversal of the one-set family {1}, as a dict."""
+    return {
+        ((i, j), 1): t.nu(i, t.nu(j, t.base(1))) for i in (-1, 0, 1) for j in (-1, 0, 1)
+    }
+
+
+@pytest.mark.parametrize(
+    "key, make, member",
+    [
+        # members other than the own element: markers and pool atoms, inner and outer
+        (((0, 1), 1), lambda t: t.nu(0, t.nu(1, t.base(2))), True),
+        (((1, 0), 1), lambda t: t.nu(1, t.base(2)), True),
+        (((1, 0), 1), lambda t: t.nu(1, t.batom(0, 1)), True),
+        (((1, 0), 1), lambda t: t.batom(1, 1), True),
+        # a stray: a ground identifier the source does not hold
+        (((0, 0), 1), lambda t: t.nu(0, t.nu(0, t.base(3))), False),
+        # a marker with l > j: layer 1 has only the marker base(2)
+        (((0, 1), 1), lambda t: t.nu(0, t.nu(1, t.base(4))), False),
+        (((1, 0), 1), lambda t: t.nu(1, t.base(4)), False),
+        # markers never sit on non-positive layers
+        (((1, 0), 1), lambda t: t.nu(1, t.nu(0, t.base(2))), False),
+        # a pool atom past k = 1
+        (((1, 0), 1), lambda t: t.nu(1, t.batom(0, 2)), False),
+        # a pool atom of another layer
+        (((1, 0), 1), lambda t: t.nu(1, t.batom(-1, 1)), False),
+        (((1, 0), 1), lambda t: t.batom(0, 1), False),
+        # wraps in the wrong order
+        (((1, 0), 1), lambda t: t.nu(0, t.nu(1, t.base(1))), False),
+        # one wrap too few
+        (((1, 0), 1), lambda t: t.nu(1, t.base(1)), False),
+    ],
+    ids=["inner-marker", "outer-marker", "inner-pool", "outer-pool", "stray",
+         "inner-marker-past-layer", "outer-marker-past-layer", "marker-on-layer-0",
+         "pool-past-k", "inner-pool-of-another-layer", "outer-pool-of-another-layer",
+         "swapped-wraps", "missing-wrap"],
+)
+def test_verify_transversal_reads_membership_off_the_term(key, make, member):
+    fam = ProjectionFamily((frozenset({1}),))
+    t = TermTable()
+    good = lifted_good(t)
+    assert verify_transversal(Transversal(2, t, good), fam, 2, 1, 1, 1)
+    trans = Transversal(2, t, {**good, key: make(t)})
+    assert verify_transversal(trans, fam, 2, 1, 1, 1) is member
+
+
+def test_verify_transversal_rejects_a_member_taken_twice():
+    # the pool atom of layer 1 is a member of every entry under outer layer 1
+    fam = ProjectionFamily((frozenset({1}),))
+    t = TermTable()
+    once = {**lifted_good(t), ((1, 0), 1): t.batom(1, 1)}
+    assert verify_transversal(Transversal(2, t, once), fam, 2, 1, 1, 1)
+    twice = {**once, ((1, 1), 1): t.batom(1, 1)}
+    assert not verify_transversal(Transversal(2, t, twice), fam, 2, 1, 1, 1)
+
+
+def test_verify_transversal_rejects_missing_and_extra_entries():
+    fam = ProjectionFamily((frozenset({1}),))
+    t = TermTable()
+    good = lifted_good(t)
+    missing = dict(good)
+    del missing[((1, 1), 1)]
+    assert not verify_transversal(Transversal(2, t, missing), fam, 2, 1, 1, 1)
+    # the count matches, but one key is not an entry of Gamma
+    renamed = dict(missing)
+    renamed[((1, 1), 2)] = good[((1, 1), 1)]
+    assert not verify_transversal(Transversal(2, t, renamed), fam, 2, 1, 1, 1)
+    # a transversal of another depth or window
+    assert not verify_transversal(Transversal(2, t, good), fam, 2, 0, 1, 1)
+    assert not verify_transversal(Transversal(1, t, good), fam, 2, 1, 1, 1)
+
+
+def test_verify_transversal_rejects_a_term_from_another_table():
+    fam = ProjectionFamily((frozenset({1}),))
+    t, other = TermTable(), TermTable()
+    good = lifted_good(t)
+    # an id the table never issued
+    far = other.nu(0, other.nu(0, other.nu(0, other.base(1))))
+    for _ in range(len(t.nodes)):
+        far = other.nu(0, far)
+    assert not verify_transversal(Transversal(2, t, {**good, ((0, 0), 1): far}), fam, 2, 1, 1, 1)
+    # an id that the table did issue, but for another term
+    other.batom(5, 1)
+    foreign = other.nu(0, other.nu(0, other.base(1)))
+    assert term_to_doc(t, foreign) != ["nu", 0, ["nu", 0, ["base", 1]]]
+    assert not verify_transversal(Transversal(2, t, {**good, ((0, 0), 1): foreign}), fam, 2, 1, 1, 1)
+    assert not verify_transversal(Transversal(2, t, {**good, ((0, 0), 1): 0}), fam, 2, 1, 1, 1)
+    assert not verify_transversal(Transversal(2, t, {**good, ((0, 0), 1): -1}), fam, 2, 1, 1, 1)
+
+
+def test_deep_orbit_interns_one_wrap_per_layer():
+    # window 0: one entry per source at every depth, so the table grows
+    # linearly in the depth (each layer wraps the one term once)
+    depth = 20_000
+    report = simulate(triangular(), depth=depth, window_w=0, prefix_len=1)
+    assert report.transversal_ok and report.hall_ok and report.entries == 1
+    assert len(report.transversal.table.nodes) <= depth + 10
