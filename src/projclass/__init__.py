@@ -6,140 +6,75 @@ orthogonal trivial summands fit under n copies of the family, whether that
 count stays bounded as n grows, and whether a distinct-representative
 assignment survives composition with the shift-style endomorphism.  Every
 decision returns a finite certificate that can be replayed independently.
+
+Importing the package loads none of its modules: each exported name is
+resolved from the module that defines it on first access, so a process pays
+only for the code it uses.
 """
 
-from .classify import (
-    LABEL_FULL,
-    LABEL_NON_FULL,
-    Classification,
-    PatternReport,
-    PatternRow,
-    SurplusSup,
-    TightSet,
-    classify,
-    compute_N,
-    find_tight_set,
-    max_trivial_multiplicity,
-    surplus_sup,
-    surplus_window_bound,
-    verify_minorization_pattern,
-)
-from .dynamics import (
-    GammaEntry,
-    GammaFamily,
-    SimulationReport,
-    Transversal,
-    alpha,
-    build_transversal,
-    gamma_iterate,
-    hall_check_gamma,
-    simulate,
-    verify_transversal,
-)
-from .errors import (
-    FamilyFormatError,
-    FamilyIndexError,
-    FullFamilyError,
-    HallViolationError,
-    OracleBoundsError,
-    PatternNotFoundError,
-    ProjclassError,
-    UndecidableFamilyError,
-    WindowTooLargeError,
-)
-from .euler import (
-    MultilinearPoly,
-    chern_vector,
-    euler_class,
-    indicator_vector,
-    sdr_count,
-    tensor_line_bundles,
-)
-from .family import (
-    Constant,
-    DisjointBlocks,
-    FiniteFamily,
-    ProjectionFamily,
-    eval_set,
-    expand_multiplicity,
-    family_to_doc,
-    index_set,
-    parse_family,
-    reindex_to_odd,
-    window,
-)
-from .hall import (
-    INFINITE,
-    BipartiteIncidence,
-    Infinite,
-    MinorizationDecision,
-    SurplusReport,
-    decide_trivial_minorization,
-    max_matching,
-    max_surplus,
-    sdr_exists,
-)
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BipartiteIncidence",
-    "Classification",
-    "Constant",
-    "DisjointBlocks",
-    "FamilyFormatError",
-    "FamilyIndexError",
-    "FiniteFamily",
-    "FullFamilyError",
-    "GammaEntry",
-    "GammaFamily",
-    "HallViolationError",
-    "INFINITE",
-    "Infinite",
-    "LABEL_FULL",
-    "LABEL_NON_FULL",
-    "MinorizationDecision",
-    "MultilinearPoly",
-    "OracleBoundsError",
-    "PatternNotFoundError",
-    "PatternReport",
-    "PatternRow",
-    "ProjclassError",
-    "ProjectionFamily",
-    "SimulationReport",
-    "SurplusReport",
-    "SurplusSup",
-    "TightSet",
-    "Transversal",
-    "UndecidableFamilyError",
-    "WindowTooLargeError",
-    "alpha",
-    "build_transversal",
-    "chern_vector",
-    "classify",
-    "compute_N",
-    "decide_trivial_minorization",
-    "euler_class",
-    "eval_set",
-    "expand_multiplicity",
-    "family_to_doc",
-    "find_tight_set",
-    "gamma_iterate",
-    "hall_check_gamma",
-    "index_set",
-    "indicator_vector",
-    "max_matching",
-    "max_surplus",
-    "max_trivial_multiplicity",
-    "parse_family",
-    "reindex_to_odd",
-    "sdr_count",
-    "sdr_exists",
-    "simulate",
-    "surplus_sup",
-    "surplus_window_bound",
-    "tensor_line_bundles",
-    "verify_minorization_pattern",
-    "verify_transversal",
-    "window",
-]
+_SOURCES = {
+    "classify": """
+        LABEL_FULL LABEL_NON_FULL Classification PatternReport PatternRow SurplusSup
+        TightSet classify compute_N find_tight_set max_trivial_multiplicity surplus_sup
+        surplus_window_bound verify_minorization_pattern
+    """,
+    "dynamics": """
+        GammaEntry GammaFamily SimulationReport Transversal alpha build_transversal
+        gamma_iterate hall_check_gamma simulate verify_transversal
+    """,
+    "errors": """
+        FamilyFormatError FamilyIndexError FullFamilyError HallViolationError
+        OracleBoundsError PatternNotFoundError ProjclassError UndecidableFamilyError
+        WindowTooLargeError
+    """,
+    "euler": """
+        MultilinearPoly chern_vector euler_class indicator_vector sdr_count
+        tensor_line_bundles
+    """,
+    "family": """
+        Constant DisjointBlocks FiniteFamily ProjectionFamily eval_set
+        expand_multiplicity family_to_doc index_set parse_family reindex_to_odd window
+    """,
+    "hall": """
+        INFINITE BipartiteIncidence Infinite MinorizationDecision SurplusReport
+        decide_trivial_minorization max_matching max_surplus sdr_exists
+    """,
+}
+_SOURCE_OF = {name: module for module, names in _SOURCES.items() for name in names.split()}
+
+__all__ = sorted(_SOURCE_OF)
+
+
+def __getattr__(name: str):
+    module = _SOURCE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_SOURCE_OF))
+
+
+class _Package(type(sys)):
+    """The package's module type (type(sys) is the module type).
+
+    Importing a submodule binds it as an attribute of the package, and the
+    submodule classify shares its name with the exported function classify,
+    so that binding is redirected to the function.
+    """
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if name == "classify" and value is sys.modules.get(f"{__name__}.classify"):
+            value = value.classify
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -20,7 +20,7 @@ Constant tails and undersized constant blocks grow without bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FullFamilyError, PatternNotFoundError, UndecidableFamilyError
 from .family import Constant, DisjointBlocks, ProjectionFamily
@@ -53,8 +53,7 @@ def compute_N(fam: ProjectionFamily, m: int) -> int | Infinite:
     return INFINITE if isinstance(value, Infinite) else value + 1
 
 
-@dataclass(frozen=True)
-class TightSet:
+class TightSet(NamedTuple):
     """Positions F0 attaining the maximal surplus k at multiplicity 1.
 
     Satisfies |union over F0| + k = |F0|; empty when k = 0.
@@ -98,8 +97,7 @@ def _strict_sample_start(fam: ProjectionFamily) -> int:
     return max(1, prefix_len)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Dichotomy verdict plus its certificate.
 
     Non-full: table m -> N(m), the maximal trivial multiplicity k, and the
@@ -151,8 +149,7 @@ def classify(fam: ProjectionFamily, m_max: int = 6) -> Classification:
     return Classification(LABEL_NON_FULL, n_table=table, k=tight.k, tight_set=tight)
 
 
-@dataclass(frozen=True)
-class PatternRow:
+class PatternRow(NamedTuple):
     """One multiplicity's finiteness pattern: N(m) blocked at m, admitted at l."""
 
     m: int
@@ -163,8 +160,7 @@ class PatternRow:
     l_surplus: int
 
 
-@dataclass(frozen=True)
-class PatternReport:
+class PatternReport(NamedTuple):
     rows: tuple[PatternRow, ...]
 
     def to_doc(self) -> dict:

@@ -4,9 +4,9 @@ Subcommands map one-to-one onto the library deciders; every command reads a
 family document (or inline JSON), runs exactly one decision, and prints one
 JSON object with the certificate embedded.  Output is byte-deterministic for
 a given input and seed.  Exit codes: 0 on success, 2 on input errors, 1 when
-an internal guard trips, the oracles disagree, a computation or the printed
-document nests past the interpreter's recursion limit, or stdout is closed
-before the document is written.
+an internal guard or check trips, the oracles disagree, memory runs out, a
+computation or the printed document nests past the interpreter's recursion
+limit, or stdout is closed before the document is written.
 
 The orbit entry cap honours the PROJCLASS_ENTRY_CAP environment variable.
 """
@@ -20,8 +20,6 @@ import random
 import sys
 from typing import Sequence
 
-from . import dynamics
-from .classify import classify, surplus_sup
 from .errors import (
     FamilyFormatError,
     FamilyIndexError,
@@ -34,7 +32,15 @@ from .errors import (
 )
 from .euler import euler_class, indicator_vector, sdr_count
 from .family import FiniteFamily, ProjectionFamily, parse_family
-from .hall import decide_trivial_minorization, sdr_exists
+from .hall import decide_trivial_minorization, sdr_exists, surplus_sup
+
+# classify and dynamics are imported by the subcommands that use them, so
+# the other subcommands never load them.  The oracle's routes stay names of
+# this module: oracle_check calls them once per case.
+
+# oracle-check refuses when its cases times 2 ** max_ground, the subsets the
+# permanent route may sweep per case, pass this
+ORACLE_WORK_CAP = 1 << 24
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -108,6 +114,8 @@ def cmd_analyze(args) -> tuple[dict, int]:
 
 
 def cmd_classify(args) -> tuple[dict, int]:
+    from .classify import classify
+
     fam = _load_family(args.family)
     return classify(fam, args.m_max).to_doc(), 0
 
@@ -170,6 +178,8 @@ def _positive_ints(entries: list) -> list[int]:
 
 
 def cmd_endo_sim(args) -> tuple[dict, int]:
+    from .dynamics import DEFAULT_ENTRY_CAP, simulate
+
     fam = _load_family(args.family)
     if args.k == "auto":
         k = None
@@ -178,9 +188,9 @@ def cmd_endo_sim(args) -> tuple[dict, int]:
             k = int(args.k)
         except ValueError:
             raise FamilyFormatError(f'--k takes an integer or "auto", got {args.k!r}')
-    cap = int(os.environ.get("PROJCLASS_ENTRY_CAP", dynamics.DEFAULT_ENTRY_CAP))
+    cap = int(os.environ.get("PROJCLASS_ENTRY_CAP", DEFAULT_ENTRY_CAP))
     try:
-        report = dynamics.simulate(fam, args.depth, args.window, args.prefix, k, cap)
+        report = simulate(fam, args.depth, args.window, args.prefix, k, cap)
     except ValueError as exc:
         raise FamilyFormatError(str(exc))
     doc = report.to_doc()
@@ -201,7 +211,9 @@ def oracle_check(max_sets: int, max_ground: int, random_cases: int, seed: int) -
     {1..max_ground} (empty sets included), then adds seeded random families
     within the same bounds.  Per family, four independently computed answers
     must agree: matching-based sdr_exists, Euler class nonvanishing, positive
-    permanent, and a direct subset sweep showing no surplus.
+    permanent, and a direct subset sweep showing no surplus.  Bounds with
+    more than 250 000 exhaustive cases, or whose cases, random ones included,
+    times 2 ** max_ground pass ORACLE_WORK_CAP, are refused before any case runs.
     """
     if max_sets < 1 or max_ground < 1:
         raise OracleBoundsError("bounds must be >= 1")
@@ -212,7 +224,7 @@ def oracle_check(max_sets: int, max_ground: int, random_cases: int, seed: int) -
     if max_sets > 7 or max_ground > 17:
         raise OracleBoundsError("bounds too large for exhaustive oracle")
     total = sum((2 ** max_ground) ** s for s in range(1, max_sets + 1))
-    if total > 250_000:
+    if total > 250_000 or (total + random_cases) << max_ground > ORACLE_WORK_CAP:
         raise OracleBoundsError("bounds too large for exhaustive oracle")
 
     subsets = [
@@ -337,6 +349,11 @@ def _too_deep() -> int:
     return 1
 
 
+def _out_of_memory() -> int:
+    print("error: out of memory", file=sys.stderr)
+    return 1
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -362,10 +379,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ProjclassError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        return _out_of_memory()
     except RecursionError:
         return _too_deep()
     try:
         _emit(doc, args.format)
+    except MemoryError:
+        return _out_of_memory()
     except RecursionError:
         # a dumped orbit term can nest past what json.dumps or the text
         # renderer recurse through; nothing has been written yet

@@ -35,7 +35,6 @@ verbatim.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -122,8 +121,7 @@ class GammaEntry(NamedTuple):
     terms: frozenset[int]
 
 
-@dataclass(frozen=True)
-class GammaFamily:
+class GammaFamily(NamedTuple):
     """The full orbit family at one depth over a window of layers, with its term table."""
 
     depth: int
@@ -131,17 +129,27 @@ class GammaFamily:
     sources: int
     pool: int
     entries: tuple[GammaEntry, ...]
-    table: TermTable = field(repr=False, compare=False)
+    table: TermTable
 
 
 def entry_count(depth: int, window_w: int, prefix_len: int, entry_cap: int) -> int:
-    """The number of orbit entries, (2w+1)^depth * prefix_len, refused past the cap."""
+    """The number of orbit entries, (2w+1)^depth * prefix_len, refused past the cap.
+
+    The product is built one layer at a time and abandoned once it passes the
+    cap, so a refusal never forms a number much larger than the cap.
+    """
     if depth < 0 or window_w < 0 or prefix_len < 0:
         raise ValueError("depth, window and prefix length must be >= 0")
-    count = (2 * window_w + 1) ** depth * prefix_len
+    factor = 2 * window_w + 1
+    count = prefix_len
+    for _ in range(depth if count and factor > 1 else 0):
+        if count > entry_cap:
+            break
+        count *= factor
     if count > entry_cap:
         raise WindowTooLargeError(
-            f"window too large: {count} entries exceed the cap of {entry_cap}"
+            f"window too large: {factor}^{depth} * {prefix_len} entries "
+            f"exceed the cap of {entry_cap}"
         )
     return count
 
@@ -179,13 +187,12 @@ def gamma_iterate(
     return GammaFamily(depth, window_w, prefix_len, k, tuple(entries), table)
 
 
-@dataclass
-class Transversal:
+class Transversal(NamedTuple):
     """An injective choice of one term id per orbit entry, keyed by (path, source)."""
 
     depth: int
     table: TermTable
-    assignment: dict[tuple[tuple[int, ...], int], int] = field(default_factory=dict)
+    assignment: dict[tuple[tuple[int, ...], int], int]
 
     def to_doc(self) -> list[dict]:
         return [
@@ -289,7 +296,7 @@ def build_transversal(
     """
     table = TermTable()
     base = window(fam, prefix_len)
-    trans = Transversal(depth, table)
+    trans = Transversal(depth, table, {})
     if not base.sets:
         # no sources, no entries: there is nothing to match or to enumerate
         return trans
@@ -325,7 +332,7 @@ def build_transversal(
         terms = [nu(j, t) for j in layers for t in terms]
     sources = range(1, len(base.sets) + 1)
     keys = ((path, s) for path in itertools.product(layers, repeat=depth) for s in sources)
-    trans.assignment = dict(zip(keys, terms))
+    trans.assignment.update(zip(keys, terms))
     return trans
 
 
@@ -398,8 +405,7 @@ def orbit_surplus(fam: ProjectionFamily, prefix_len: int, window_w: int, depth: 
     return s
 
 
-@dataclass
-class SimulationReport:
+class SimulationReport(NamedTuple):
     """Everything one simulator run produced, certificates included."""
 
     entries: int

@@ -12,8 +12,7 @@ stands for a trivial rank-one summand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import FamilyFormatError, FamilyIndexError
 
@@ -36,18 +35,41 @@ def index_set(elements: Iterable[int]) -> IndexSet:
     return out
 
 
-@dataclass(frozen=True)
-class Constant:
-    """Tail rule: every position past the prefix carries the same set."""
+class _Checked:
+    """Mixin for the records that check their fields in __new__.
 
+    namedtuple's _make, which _replace also goes through, builds the tuple
+    directly; routing it through the class keeps every copy checked.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class _ConstantFields(NamedTuple):
     members: IndexSet
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", index_set(self.members))
+
+class Constant(_Checked, _ConstantFields):
+    """Tail rule: every position past the prefix carries the same set."""
+
+    __slots__ = ()
+
+    def __new__(cls, members: Iterable[int]):
+        return super().__new__(cls, index_set(members))
 
 
-@dataclass(frozen=True)
-class DisjointBlocks:
+class _BlockFields(NamedTuple):
+    a: int
+    b: int
+    start: int
+    stride: int
+
+
+class DisjointBlocks(_Checked, _BlockFields):
     """Tail rule: the i-th tail set is a fresh block of a*i + b identifiers.
 
     Blocks are pairwise disjoint and disjoint from every prefix set: `start`
@@ -57,22 +79,19 @@ class DisjointBlocks:
     the prefix is.  `stride` is 1 for documents; odd reindexing doubles it.
     """
 
-    a: int
-    b: int
-    start: int
-    stride: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("a", "b", "start", "stride"):
-            v = getattr(self, name)
+    def __new__(cls, a: int, b: int, start: int, stride: int = 1):
+        for name, v in (("a", a), ("b", b), ("start", start), ("stride", stride)):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise FamilyFormatError(f"block parameter {name} must be an integer, got {v!r}")
-        if self.a < 0 or self.b < 0 or (self.a, self.b) == (0, 0):
+        if a < 0 or b < 0 or (a, b) == (0, 0):
             raise FamilyFormatError("block sizes need a >= 0 and b >= 0, not both zero")
-        if self.start < 1:
+        if start < 1:
             raise FamilyFormatError("block start must be a positive identifier")
-        if self.stride < 1:
+        if stride < 1:
             raise FamilyFormatError("block stride must be >= 1")
+        return super().__new__(cls, a, b, start, stride)
 
     def size(self, i: int) -> int:
         return self.a * i + self.b
@@ -93,40 +112,49 @@ class DisjointBlocks:
 TailRule = Constant | DisjointBlocks
 
 
-@dataclass(frozen=True)
-class ProjectionFamily:
+class _FamilyFields(NamedTuple):
+    prefix: tuple[IndexSet, ...]
+    tail: TailRule | None
+
+
+class ProjectionFamily(_Checked, _FamilyFields):
     """Explicit prefix plus an optional symbolic tail; tail None means finite."""
 
-    prefix: tuple[IndexSet, ...] = ()
-    tail: TailRule | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(index_set(s) for s in self.prefix))
-        if self.tail is not None and not isinstance(self.tail, (Constant, DisjointBlocks)):
-            raise FamilyFormatError(f"unknown tail rule {self.tail!r}")
-        if isinstance(self.tail, DisjointBlocks):
-            top = max((max(s) for s in self.prefix if s), default=0)
-            if top >= self.tail.start:
+    def __new__(cls, prefix: Iterable[Iterable[int]] = (), tail: TailRule | None = None):
+        prefix = tuple(index_set(s) for s in prefix)
+        if tail is not None and not isinstance(tail, (Constant, DisjointBlocks)):
+            raise FamilyFormatError(f"unknown tail rule {tail!r}")
+        if isinstance(tail, DisjointBlocks):
+            top = max((max(s) for s in prefix if s), default=0)
+            if top >= tail.start:
                 raise FamilyFormatError(
-                    f"tail blocks start at {self.tail.start} but the prefix uses identifier {top}"
+                    f"tail blocks start at {tail.start} but the prefix uses identifier {top}"
                 )
+        return super().__new__(cls, prefix, tail)
 
     @property
     def is_finite(self) -> bool:
         return self.tail is None
 
 
-@dataclass(frozen=True)
-class FiniteFamily:
-    """An ordered finite family of index sets together with its ground union."""
-
+class _FiniteFields(NamedTuple):
     sets: tuple[IndexSet, ...]
-    ground: IndexSet = field(init=False)
 
-    def __post_init__(self):
-        sets = tuple(frozenset(s) for s in self.sets)
-        object.__setattr__(self, "sets", sets)
-        object.__setattr__(self, "ground", frozenset().union(*sets) if sets else frozenset())
+
+class FiniteFamily(_Checked, _FiniteFields):
+    """An ordered finite family of index sets."""
+
+    __slots__ = ()
+
+    def __new__(cls, sets: Iterable[Iterable[int]]):
+        return super().__new__(cls, tuple(frozenset(s) for s in sets))
+
+    @property
+    def ground(self) -> IndexSet:
+        """The union of the sets."""
+        return frozenset().union(*self.sets)
 
     def __len__(self) -> int:
         return len(self.sets)

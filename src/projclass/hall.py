@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import UndecidableFamilyError
 from .family import (
@@ -62,8 +62,7 @@ class Infinite:
 INFINITE = Infinite()
 
 
-@dataclass
-class BipartiteIncidence:
+class BipartiteIncidence(NamedTuple):
     """Positions 1..t on the left, ground identifiers on the right.
 
     Membership edges only, no multiplicities; adjacency is kept sorted so
@@ -76,7 +75,7 @@ class BipartiteIncidence:
     @classmethod
     def from_family(cls, fam: FiniteFamily) -> "BipartiteIncidence":
         positions = tuple(range(1, len(fam.sets) + 1))
-        adj = {p: tuple(sorted(fam.sets[p - 1])) for p in positions}
+        adj = {p: tuple(sorted(s)) for p, s in enumerate(fam.sets, 1)}
         return cls(positions, adj)
 
 
@@ -90,6 +89,7 @@ def max_matching(g: BipartiteIncidence) -> tuple[int, dict[int, int]]:
     Before returning, maximality is re-verified by one alternating sweep
     from the unmatched positions: it must reach no free element.
     """
+    positions, adj = g
     inf = float("inf")
     pair_pos: dict[int, int] = {}
     pair_elem: dict[int, int] = {}
@@ -97,7 +97,7 @@ def max_matching(g: BipartiteIncidence) -> tuple[int, dict[int, int]]:
 
     def bfs() -> bool:
         queue: deque[int] = deque()
-        for p in g.positions:
+        for p in positions:
             if p not in pair_pos:
                 dist[p] = 0
                 queue.append(p)
@@ -107,7 +107,7 @@ def max_matching(g: BipartiteIncidence) -> tuple[int, dict[int, int]]:
         while queue:
             p = queue.popleft()
             if dist[p] < dist[None]:
-                for e in g.adj[p]:
+                for e in adj[p]:
                     q = pair_elem.get(e)
                     if dist[q] == inf:
                         dist[q] = dist[p] + 1
@@ -121,7 +121,7 @@ def max_matching(g: BipartiteIncidence) -> tuple[int, dict[int, int]]:
         # own adjacency where it left off, in the order recursion would
         path = [root]
         via: list[int] = []
-        edges = [iter(g.adj[root])]
+        edges = [iter(adj[root])]
         while path:
             p = path[-1]
             for e in edges[-1]:
@@ -134,7 +134,7 @@ def max_matching(g: BipartiteIncidence) -> tuple[int, dict[int, int]]:
                             pair_elem[elem] = node
                         return True
                     path.append(q)
-                    edges.append(iter(g.adj[q]))
+                    edges.append(iter(adj[q]))
                     break
             else:
                 dist[p] = inf
@@ -145,7 +145,7 @@ def max_matching(g: BipartiteIncidence) -> tuple[int, dict[int, int]]:
         return False
 
     while bfs():
-        for p in g.positions:
+        for p in positions:
             if p not in pair_pos:
                 dfs(p)
 
@@ -163,13 +163,14 @@ def _alternating_reach(g, pair_pos, pair_elem) -> tuple[frozenset[int], bool]:
     deficiency |F| - |N(F)| and is contained in every other maximiser, so it
     is the unique inclusion-minimal witness.
     """
-    reached = {p for p in g.positions if p not in pair_pos}
+    positions, adj = g
+    reached = {p for p in positions if p not in pair_pos}
     queue = deque(reached)
     seen_elem = set()
     free = False
     while queue:
         p = queue.popleft()
-        for e in g.adj[p]:
+        for e in adj[p]:
             if e in seen_elem:
                 continue
             seen_elem.add(e)
@@ -188,8 +189,7 @@ def sdr_exists(fam: FiniteFamily) -> bool:
     return size == len(fam.sets)
 
 
-@dataclass(frozen=True)
-class SurplusReport:
+class SurplusReport(NamedTuple):
     """Certificate for the maximum surplus n|F| - |union of F| over subsets F.
 
     witness_F lists original family positions.  The matching refers to the
@@ -236,8 +236,7 @@ def max_surplus(fam: FiniteFamily, n: int = 1) -> SurplusReport:
     )
 
 
-@dataclass(frozen=True)
-class MinorizationDecision:
+class MinorizationDecision(NamedTuple):
     """Outcome and certificate of a trivial-minorization query.
 
     For a positive answer, `window` is the smallest window length whose
@@ -302,8 +301,7 @@ def window_surplus(fam: ProjectionFamily, t: int, n: int) -> SurplusReport:
     return SurplusReport(n, t, surplus, tuple(witness), tuple(matching))
 
 
-@dataclass(frozen=True)
-class SurplusSup:
+class SurplusSup(NamedTuple):
     """Outcome of the surplus supremum search at one multiplicity.
 
     Finite case: `window` is a prefix length whose window attains the value

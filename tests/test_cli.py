@@ -164,6 +164,15 @@ def test_endo_sim_entry_cap_env(capsys, tri_file, monkeypatch):
     assert "window too large" in err
 
 
+def test_endo_sim_refuses_a_deep_orbit_in_one_line(capsys, tri_file):
+    code, out, err = run(
+        capsys, "endo-sim", "--family", tri_file,
+        "--depth", "100000", "--window", "1", "--prefix", "1",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: window too large") and len(err) < 100
+
+
 def test_endo_sim_full_family(capsys, constant_file):
     code, _, err = run(
         capsys, "endo-sim", "--family", constant_file,
@@ -400,6 +409,36 @@ def test_oracle_check_refuses_a_huge_ground_before_sizing_it(capsys):
     assert "bounds too large" in err
     with pytest.raises(OracleBoundsError):
         oracle_check(1, 18, 0, 0)
+
+
+def test_oracle_check_refuses_work_past_the_cap_without_running(monkeypatch):
+    monkeypatch.setattr(cli, "_four_way_agree", None)  # any case run would fail
+    for bounds in ((1, 17, 0, 0), (1, 13, 0, 0), (2, 8, 0, 0), (3, 5, 500_000, 0)):
+        with pytest.raises(OracleBoundsError, match="bounds too large"):
+            oracle_check(*bounds)
+
+
+def test_oracle_check_accepts_the_benchmark_and_readme_bounds(monkeypatch):
+    monkeypatch.setattr(cli, "_four_way_agree", lambda sets: True)  # bounds only
+    for bounds in ((5, 3, 0, 0), (3, 5, 2000, 0), (3, 3, 1000, 1), (1, 12, 0, 0)):
+        assert oracle_check(*bounds)["disagreements"] == 0
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (AssertionError("matching reported as maximum"), "error: internal check failed: matching"),
+        (MemoryError(), "error: out of memory"),
+    ],
+)
+def test_internal_failures_exit_1_in_one_line(capsys, monkeypatch, error, message):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_euler", fail)
+    code, out, err = run(capsys, "euler", "--bundles", "[[1]]")
+    assert code == 1 and out == ""
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 def frozenset_sweep(sets):

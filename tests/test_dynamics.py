@@ -1,4 +1,5 @@
 import itertools
+import time
 from functools import partial
 
 import pytest
@@ -13,6 +14,7 @@ from projclass.dynamics import (
     _ordered_matching,
     alpha,
     build_transversal,
+    entry_count,
     gamma_iterate,
     hall_check_gamma,
     orbit_surplus,
@@ -149,6 +151,20 @@ def test_gamma_layers_equal_per_path_replay(sets, a, b, t, depth, w, k):
 def test_gamma_entry_cap():
     with pytest.raises(WindowTooLargeError, match="window too large"):
         gamma_iterate(triangular(), prefix_len=4, window_w=2, depth=3, k=0, entry_cap=100)
+
+
+def test_entry_cap_refuses_deep_orbits_without_forming_their_count():
+    t0 = time.perf_counter()
+    with pytest.raises(WindowTooLargeError) as refused:
+        entry_count(10**7, 1, 1, 10_000)
+    assert time.perf_counter() - t0 < 0.5
+    assert str(refused.value) == "window too large: 3^10000000 * 1 entries exceed the cap of 10000"
+    # under the cap the count itself comes back; with w = 0 or p = 0 it never grows
+    assert entry_count(8, 1, 1, 3**8) == 3**8
+    assert entry_count(10**7, 0, 5, 10) == 5
+    assert entry_count(10**7, 1, 0, 10) == 0
+    with pytest.raises(WindowTooLargeError):
+        entry_count(0, 1, 11, 10)
 
 
 def test_depth_one_entries_contain_their_pool():

@@ -227,3 +227,27 @@ def test_doc_omits_default_stride():
     assert doc["tail"] == {"kind": "disjoint_blocks", "a": 1, "b": 0, "start": 1}
     fam = ProjectionFamily((), DisjointBlocks(1, 0, 1, stride=2))
     assert family_to_doc(fam)["tail"]["stride"] == 2
+
+
+def test_records_are_frozen_checked_and_compared_by_fields():
+    fam = ProjectionFamily([[1], [2]], DisjointBlocks(1, 0, 3))
+    report = max_surplus(finite({1}, {1}), 2)
+    for record in (fam, fam.tail, Constant([1]), finite({1}), report):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+    twin = ProjectionFamily(([1], {2}), DisjointBlocks(1, 0, 3, 1))
+    assert fam == twin and hash(fam) == hash(twin)
+    assert fam != ProjectionFamily([[1], [2]], DisjointBlocks(1, 1, 3))
+    assert report == max_surplus(finite({1}, {1}), 2) != max_surplus(finite({1}, {1}), 1)
+    # copies go through the same checks as constructions
+    with pytest.raises(FamilyFormatError):
+        fam._replace(tail=object())
+    with pytest.raises(FamilyFormatError):
+        fam.tail._replace(start=0)
+    with pytest.raises(FamilyFormatError):
+        Constant([1])._replace(members=[1, 1])
+    with pytest.raises(FamilyFormatError):
+        ProjectionFamily._make(([[5]], DisjointBlocks(1, 0, 2)))
+    assert finite({1})._replace(sets=([2, 3],)).ground == {2, 3}
