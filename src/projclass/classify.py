@@ -12,18 +12,18 @@ subsets F, of the surplus m|F| - |union of F| at multiplicity m.
 For the supported tail rules the supremum is computed exactly, by
 hall.surplus_sup.  Tail blocks are disjoint from everything else, so a tail
 position i contributes m - size(i) independently of all other choices:
-positions with oversized blocks never help, the supremum is attained inside
-an explicit cutoff window, and only the explicit prefix of that window is
-handed to the matching engine while the blocks are summed in closed form.
-Constant tails and undersized constant blocks grow without bound.
+positions with oversized blocks never help, only the explicit prefix is
+handed to the matching engine, and the blocks are summed as a series.
+Constant tails and undersized constant blocks grow without bound, from the
+multiplicity hall.unbounded_multiplicity names.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import FullFamilyError, PatternNotFoundError, UndecidableFamilyError
-from .family import Constant, DisjointBlocks, ProjectionFamily
+from .errors import FullFamilyError, PatternNotFoundError
+from .family import Constant, ProjectionFamily
 from .hall import (  # noqa: F401  SurplusSup, surplus_window_bound: re-exported
     INFINITE,
     Infinite,
@@ -31,6 +31,7 @@ from .hall import (  # noqa: F401  SurplusSup, surplus_window_bound: re-exported
     decide_trivial_minorization,
     surplus_sup,
     surplus_window_bound,
+    unbounded_multiplicity,
     window_surplus,
 )
 
@@ -70,19 +71,7 @@ def find_tight_set(fam: ProjectionFamily) -> TightSet:
         raise FullFamilyError("family is full; no tight set")
     if sup.value == 0:
         return TightSet((), 0)
-    return TightSet(sup.report.witness_F, sup.value)
-
-
-def _fullness_witness_multiplicity(fam: ProjectionFamily) -> int | None:
-    """Smallest multiplicity with unbounded surplus; None when the family is non-full."""
-    tail = fam.tail
-    if tail is None:
-        return None
-    if isinstance(tail, Constant):
-        return 1
-    if isinstance(tail, DisjointBlocks):
-        return tail.b + 1 if tail.a == 0 else None
-    raise UndecidableFamilyError("undecidable family shape")
+    return TightSet(sup.witness_F, sup.value)
 
 
 def _strict_sample_start(fam: ProjectionFamily) -> int:
@@ -131,7 +120,7 @@ def classify(fam: ProjectionFamily, m_max: int = 6) -> Classification:
     """Decide the dichotomy: non-full and stably finite, or full and properly infinite."""
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
-    witness_m = _fullness_witness_multiplicity(fam)
+    witness_m = unbounded_multiplicity(fam)
     if witness_m is not None:
         start = _strict_sample_start(fam)
         samples = tuple(

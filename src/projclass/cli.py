@@ -123,15 +123,15 @@ def cmd_classify(args) -> tuple[dict, int]:
 def cmd_nbound(args) -> tuple[dict, int]:
     fam = _load_family(args.family)
     sup = surplus_sup(fam, args.m)
-    if sup.report is None:
+    if sup.witness_F is None:
         return {"m": args.m, "N": "infinite", "unbounded_reason": sup.reason}, 0
     # N(m) = 1 + supremum, as in compute_N, from the one supremum computed here
     return {
         "m": args.m,
         "N": sup.value + 1,
         "window": sup.window,
-        "witness_F": list(sup.report.witness_F),
-        "attained_surplus": sup.report.max_surplus,
+        "witness_F": list(sup.witness_F),
+        "attained_surplus": sup.value,
     }, 0
 
 

@@ -16,16 +16,17 @@ everywhere else:
     block tails touch nothing else, so only the explicit prefix is matched;
     each tail block adds n - size(i) when positive, and its part of the
     certificate is written down directly;
-  * surplus_sup: the supremum of the window surpluses, attained inside a
-    cutoff window read off the tail shape, or unbounded;
+  * surplus_sup: the supremum of the window surpluses, or unbounded: one
+    prefix matching plus the arithmetic series of the small tail blocks;
+  * surplus_window_bound: the smallest window reaching a target surplus, by
+    bisection inside the prefix and by arithmetic past it;
   * decide_trivial_minorization: do m trivial rank-one summands embed under
     n copies of the family's projection, which holds exactly when some finite
-    window reaches surplus m at multiplicity n.  The window surplus never
-    decreases as the window grows, so the smallest reaching window is found
-    by bisection over window_surplus.
+    window reaches surplus m at multiplicity n.  Its one certificate is
+    window_surplus at the answer's window.
 
-All computations are exact; every positive answer carries a finite witness
-and every matching is re-checked for maximality before being reported.
+All computations are exact; every answer carries a finite witness and every
+matching is re-checked for maximality before being reported.
 """
 
 from __future__ import annotations
@@ -79,15 +80,17 @@ class BipartiteIncidence(NamedTuple):
         return cls(positions, adj)
 
 
-def max_matching(g: BipartiteIncidence) -> tuple[int, dict[int, int]]:
-    """Maximum matching size plus one maximum matching, position -> element.
+def max_matching(g: BipartiteIncidence) -> tuple[int, dict[int, int], frozenset[int]]:
+    """Maximum matching size, one maximum matching (position -> element) and its reach.
 
     Hopcroft-Karp with breadth-first phase layering and an iterative
     depth-first augmentation, so path length is not bounded by the
     interpreter's recursion limit.  The distance map is keyed by left
     vertices plus a None sentinel standing for "reached a free element".
     Before returning, maximality is re-verified by one alternating sweep
-    from the unmatched positions: it must reach no free element.
+    from the unmatched positions: it must reach no free element.  The
+    positions that sweep reached are returned too; they are the canonical
+    maximum-deficiency witness (see _alternating_reach).
     """
     positions, adj = g
     inf = float("inf")
@@ -149,9 +152,10 @@ def max_matching(g: BipartiteIncidence) -> tuple[int, dict[int, int]]:
             if p not in pair_pos:
                 dfs(p)
 
-    if _alternating_reach(g, pair_pos, pair_elem)[1]:
+    reached, free = _alternating_reach(g, pair_pos, pair_elem)
+    if free:
         raise AssertionError("matching reported as maximum but an augmenting path remains")
-    return len(pair_pos), dict(pair_pos)
+    return len(pair_pos), pair_pos, reached
 
 
 def _alternating_reach(g, pair_pos, pair_elem) -> tuple[frozenset[int], bool]:
@@ -185,8 +189,7 @@ def _alternating_reach(g, pair_pos, pair_elem) -> tuple[frozenset[int], bool]:
 
 def sdr_exists(fam: FiniteFamily) -> bool:
     """True iff the family has a system of distinct representatives."""
-    size, _ = max_matching(BipartiteIncidence.from_family(fam))
-    return size == len(fam.sets)
+    return max_matching(BipartiteIncidence.from_family(fam))[0] == len(fam.sets)
 
 
 class SurplusReport(NamedTuple):
@@ -223,9 +226,7 @@ def max_surplus(fam: FiniteFamily, n: int = 1) -> SurplusReport:
         raise ValueError(f"multiplicity must be >= 1, got {n}")
     expanded = expand_multiplicity(fam, n) if n > 1 else fam
     g = BipartiteIncidence.from_family(expanded)
-    size, pair_pos = max_matching(g)
-    pair_elem = {e: p for p, e in pair_pos.items()}
-    reached, _ = _alternating_reach(g, pair_pos, pair_elem)
+    size, pair_pos, reached = max_matching(g)
     witness = sorted({(p - 1) // n + 1 for p in reached})
     return SurplusReport(
         n=n,
@@ -268,6 +269,15 @@ class MinorizationDecision(NamedTuple):
         return doc
 
 
+def _block_gain(tail: DisjointBlocks, n: int, k: int) -> int:
+    """Surplus the first k tail blocks add: an arithmetic series of n - size(i) > 0."""
+    if tail.a:
+        k = min(k, max(0, (n - 1 - tail.b) // tail.a))
+    elif tail.b >= n:
+        return 0
+    return k * (n - tail.b) - tail.a * k * (k + 1) // 2
+
+
 def window_surplus(fam: ProjectionFamily, t: int, n: int) -> SurplusReport:
     """max_surplus(window(fam, t), n), field for field, without the tail expansion.
 
@@ -285,13 +295,12 @@ def window_surplus(fam: ProjectionFamily, t: int, n: int) -> SurplusReport:
     if t <= p or not isinstance(tail, DisjointBlocks):
         return max_surplus(window(fam, t), n)
     rep = max_surplus(window(fam, p), n)
-    surplus = rep.max_surplus
+    surplus = rep.max_surplus + _block_gain(tail, n, t - p)
     witness = list(rep.witness_F)
     matching = list(rep.matching)
     for i in range(1, t - p + 1):
         size = tail.size(i)
         if size < n:
-            surplus += n - size
             witness.append(p + i)
         base = (p + i - 1) * n
         first = tail.first(i)
@@ -302,38 +311,33 @@ def window_surplus(fam: ProjectionFamily, t: int, n: int) -> SurplusReport:
 
 
 class SurplusSup(NamedTuple):
-    """Outcome of the surplus supremum search at one multiplicity.
+    """Outcome of the surplus supremum at one multiplicity.
 
-    Finite case: `window` is a prefix length whose window attains the value
-    and `report` the certificate on that window.  Unbounded case: `reason`
-    states which tail shape forces growth.
+    Finite case: `window` attains the value and `witness_F` lists an
+    attaining subset's positions; no matching is built.  Unbounded case:
+    `reason` states which tail shape forces growth.
     """
 
     n: int
     value: int | Infinite
     window: int | None
-    report: SurplusReport | None
+    witness_F: tuple[int, ...] | None
     reason: str | None
 
 
-def _cutoff_window(fam: ProjectionFamily, n: int) -> int | None:
-    """Window length inside which the surplus supremum is attained; None if unbounded.
+def unbounded_multiplicity(fam: ProjectionFamily) -> int | None:
+    """Least multiplicity at which the surplus supremum is unbounded; None if never.
 
-    Valid because tail blocks are disjoint from all other sets: dropping a
-    tail position with size(i) > n can only raise the surplus, dropping one
-    with size(i) == n keeps it, so some maximiser lives among the prefix plus
-    the tail positions with size(i) < n.
+    Every copy of a constant tail adds n once one is held; blocks of constant
+    size b add n - b each once n > b; growing blocks outgrow every n.
     """
     tail = fam.tail
-    prefix_len = len(fam.prefix)
     if tail is None:
-        return prefix_len
-    if isinstance(tail, Constant):
         return None
+    if isinstance(tail, Constant):
+        return 1
     if isinstance(tail, DisjointBlocks):
-        if tail.a == 0:
-            return prefix_len if tail.b >= n else None
-        return prefix_len + max(0, (n - 1 - tail.b) // tail.a)
+        return tail.b + 1 if tail.a == 0 else None
     raise UndecidableFamilyError("undecidable family shape")
 
 
@@ -351,47 +355,49 @@ def _unbounded_reason(fam: ProjectionFamily, n: int) -> str:
 
 
 def surplus_sup(fam: ProjectionFamily, n: int) -> SurplusSup:
-    """Supremum over all finite position subsets of n|F| - |union of F|."""
+    """Supremum over all finite position subsets of n|F| - |union of F|.
+
+    Tail blocks are disjoint from all other sets, so block i adds
+    max(0, n - size(i)) whatever else is chosen: only the prefix is matched.
+    """
     if n < 1:
         raise ValueError(f"multiplicity must be >= 1, got {n}")
-    cutoff = _cutoff_window(fam, n)
-    if cutoff is None:
+    start = unbounded_multiplicity(fam)
+    if start is not None and n >= start:
         return SurplusSup(n, INFINITE, None, None, _unbounded_reason(fam, n))
-    rep = window_surplus(fam, cutoff, n)
-    return SurplusSup(n, rep.max_surplus, cutoff, rep, None)
+    p = len(fam.prefix)
+    rep = max_surplus(window(fam, p), n)
+    tail = fam.tail
+    k = max(0, (n - 1 - tail.b) // tail.a) if isinstance(tail, DisjointBlocks) and tail.a else 0
+    value = rep.max_surplus + (_block_gain(tail, n, k) if k else 0)
+    return SurplusSup(n, value, p + k, rep.witness_F + tuple(range(p + 1, p + k + 1)), None)
 
 
 def surplus_window_bound(fam: ProjectionFamily, n: int, target: int) -> int:
-    """Upper bound on the smallest window whose surplus at n reaches target.
+    """The smallest window whose surplus at multiplicity n reaches a reachable target.
 
-    Only meaningful when the target is reachable, i.e. the supremum is at
-    least the target; the unbounded shapes get an all-tail-positions bound.
+    A longer window keeps every subset of a shorter one, so the surplus S(t)
+    never decreases.  Inside the prefix it is bisected, one matching per
+    probe.  Past it S(p + k) is S0 plus the block series, or for a constant
+    tail C, max(S0, SC + n*k) with SC = max_surplus(prefix minus C) - |C|.
     """
-    cutoff = _cutoff_window(fam, n)
-    if cutoff is not None:
-        return cutoff
-    prefix_len = len(fam.prefix)
+    p = len(fam.prefix)
     tail = fam.tail
-    if isinstance(tail, Constant):
-        return prefix_len + (target + len(tail.members) + n - 1) // n
-    gain = n - tail.b
-    return prefix_len + (target + gain - 1) // gain
-
-
-def _first_reaching_report(fam: ProjectionFamily, n: int, target: int) -> SurplusReport:
-    """Report of the smallest window whose surplus at n reaches a reachable target.
-
-    A longer window keeps every subset of a shorter one, so the window
-    surplus never decreases with t and the first reaching window is found by
-    bisection over [1, surplus_window_bound]; each probe is one window_surplus.
-    """
-    last = surplus_window_bound(fam, n, target)
-    t = bisect_left(
-        range(last + 1), target, lo=1, key=lambda w: window_surplus(fam, w, n).max_surplus
+    if tail is not None:
+        need = target - max_surplus(window(fam, p), n).max_surplus
+        if need > 0:
+            if isinstance(tail, Constant):
+                held = FiniteFamily(s - tail.members for s in fam.prefix)
+                sc = max_surplus(held, n).max_surplus - len(tail.members)
+                return p + max(1, -((sc - target) // n))
+            # constant-size blocks smaller than n add at least 1 per position
+            last = (n - 1 - tail.b) // tail.a if tail.a else need
+            return p + bisect_left(
+                range(last + 1), need, lo=1, key=lambda k: _block_gain(tail, n, k)
+            )
+    return bisect_left(
+        range(p), target, lo=1, key=lambda w: max_surplus(window(fam, w), n).max_surplus
     )
-    if t > last:
-        raise AssertionError("certified surplus not reached within its window bound")
-    return window_surplus(fam, t, n)
 
 
 def decide_trivial_minorization(
@@ -399,9 +405,8 @@ def decide_trivial_minorization(
 ) -> MinorizationDecision:
     """Decide whether m trivial rank-one summands embed under n copies of Q.
 
-    Symbolic tails are handled through the closed-form surplus supremum; the
-    positive certificate is the smallest window reaching m, found by
-    bisection over the monotone window surplus up to surplus_window_bound.
+    The certificate is the surplus report of the supremum's window when the
+    answer is no, of the smallest reaching window when it is yes.
     """
     if isinstance(fam, FiniteFamily):
         fam = ProjectionFamily(fam.sets)
@@ -409,6 +414,11 @@ def decide_trivial_minorization(
         raise ValueError(f"m and n must be >= 1, got m={m}, n={n}")
     sup = surplus_sup(fam, n)
     if not isinstance(sup.value, Infinite) and sup.value < m:
-        return MinorizationDecision(False, m, n, sup.value, sup.window, sup.report)
-    rep = _first_reaching_report(fam, n, m)
-    return MinorizationDecision(True, m, n, sup.value, rep.positions, rep, sup.reason)
+        return MinorizationDecision(
+            False, m, n, sup.value, sup.window, window_surplus(fam, sup.window, n)
+        )
+    t = surplus_window_bound(fam, n, m)
+    rep = window_surplus(fam, t, n)
+    if rep.max_surplus < m:
+        raise AssertionError("certified surplus not reached")
+    return MinorizationDecision(True, m, n, sup.value, t, rep, sup.reason)

@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import itertools
 
+from hypothesis import strategies as st
+
 from projclass.family import (
     Constant,
     DisjointBlocks,
     FiniteFamily,
     ProjectionFamily,
+    reindex_to_odd,
+    window,
 )
 
 
@@ -90,3 +94,41 @@ def all_subsets(ground) -> list[frozenset]:
 
 CONSTANT_ONE = ProjectionFamily((), Constant(frozenset({1})))
 SINGLETON_BLOCKS = ProjectionFamily((), DisjointBlocks(0, 1, 1))
+
+
+@st.composite
+def block_families(draw, constant=False, finite=False):
+    """Random prefix plus a disjoint-block tail, optionally on odd identifiers.
+
+    constant=True puts a constant tail instead, finite=True no tail at all.
+    """
+    prefix = draw(st.lists(st.frozensets(st.integers(1, 6), max_size=4), max_size=5))
+    top = max((max(s) for s in prefix if s), default=0)
+    start = top + 1 + draw(st.integers(0, 2))
+    if finite:
+        tail = None
+    elif constant:
+        tail = Constant(draw(st.frozensets(st.integers(1, 8), max_size=3)))
+    else:
+        a, b = draw(st.sampled_from([(a, b) for a in range(4) for b in range(4)][1:]))
+        tail = DisjointBlocks(a, b, start)
+    fam = ProjectionFamily(tuple(prefix), tail)
+    return reindex_to_odd(fam) if draw(st.booleans()) else fam
+
+
+def assert_certificate_replays(fam: ProjectionFamily, doc: dict) -> None:
+    """Replay a decision document's certificate on the window it names.
+
+    Pair [q, e] matches copy q of the n-fold window: e must lie in the set at
+    position ceil(q / n), and no q or e may repeat.  Then n * window -
+    max_surplus pairs and a witness of surplus max_surplus prove each other
+    optimal, with no matching engine involved.
+    """
+    n, t, pairs = doc["n"], doc["window"], doc["matching"]
+    sets = window(fam, t).sets
+    for q, e in pairs:
+        assert 1 <= q <= n * t and e in sets[(q - 1) // n]
+    assert len({q for q, _ in pairs}) == len({e for _, e in pairs}) == len(pairs)
+    assert len(pairs) == n * t - doc["max_surplus"]
+    union = frozenset().union(*(sets[j - 1] for j in doc["witness_F"]))
+    assert n * len(doc["witness_F"]) - len(union) == doc["max_surplus"]

@@ -107,14 +107,14 @@ def test_criterion_2_defect_formula_equivalence(capsys):
     ok = True
     for combo in _exhaustive_corpus():
         fam = FiniteFamily(combo)
-        size, _ = max_matching(BipartiteIncidence.from_family(fam))
+        size, _, _ = max_matching(BipartiteIncidence.from_family(fam))
         if size != 4 - _brute_surplus_bitmask(combo):
             ok = False
             break
         checked += 1
     for combo in _random_corpus(1000):
         fam = FiniteFamily(combo)
-        size, _ = max_matching(BipartiteIncidence.from_family(fam))
+        size, _, _ = max_matching(BipartiteIncidence.from_family(fam))
         if size != len(combo) - _brute_surplus_bitmask(combo):
             ok = False
             break

@@ -1,7 +1,13 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import CONSTANT_ONE, SINGLETON_BLOCKS, padded_triangular, triangular
+from conftest import (
+    CONSTANT_ONE,
+    SINGLETON_BLOCKS,
+    block_families,
+    padded_triangular,
+    triangular,
+)
 from projclass.classify import (
     LABEL_FULL,
     LABEL_NON_FULL,
@@ -146,12 +152,25 @@ def test_surplus_sup_finite_families_use_their_length():
     assert sup.value == 1 and sup.window == 2
 
 
-def test_surplus_window_bound_reaches_target():
-    # window bounds must be large enough to expose any requested surplus
-    for fam, n in ((CONSTANT_ONE, 1), (SINGLETON_BLOCKS, 2)):
-        for target in (1, 3, 7):
-            t = surplus_window_bound(fam, n, target)
-            assert max_surplus(window(fam, t), n).max_surplus >= target
+@settings(max_examples=60, deadline=None)
+@given(
+    fam=st.one_of(
+        block_families(), block_families(constant=True), block_families(finite=True)
+    )
+)
+@example(fam=CONSTANT_ONE)
+@example(fam=SINGLETON_BLOCKS)
+def test_surplus_window_bound_reaches_target(fam):
+    # the exact first reaching window, against the windowed matching; p + 24
+    # windows expose every reachable target up to 20, as in
+    # test_decision_window_is_the_smallest_reaching_window
+    last = len(fam.prefix) if fam.tail is None else len(fam.prefix) + 24
+    for n in range(1, 6):
+        surpluses = [max_surplus(window(fam, t), n).max_surplus for t in range(last + 1)]
+        for m in range(1, 21):
+            if surpluses[-1] >= m:
+                first = next(t for t, s in enumerate(surpluses) if s >= m)
+                assert surplus_window_bound(fam, n, m) == first
 
 
 def test_classify_invariant_under_reindex():

@@ -14,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import assert_certificate_replays
 from projclass.cli import main
+from projclass.family import parse_family
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
@@ -27,3 +29,18 @@ def test_golden_output(capsys, case):
     out = capsys.readouterr().out
     assert code == case["exit"]
     assert out == (GOLDEN / "expected" / f"{case['name']}.out").read_text(encoding="utf-8")
+
+
+ANALYZE = [c for c in CASES if c["argv"][0] == "analyze" and c["exit"] == 0]
+
+
+@pytest.mark.parametrize("case", ANALYZE, ids=[c["name"] for c in ANALYZE])
+def test_printed_certificate_replays(capsys, case):
+    # the JSON rendering of each analyze case (the text cases print the same
+    # document), replayed against the family it was decided on
+    argv = [a for a in case["argv"] if a not in ("--format", "text")]
+    family = GOLDEN / argv[argv.index("--family") + 1]
+    assert main([str(family) if a.startswith("families/") else a for a in argv]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    fam = parse_family(json.loads(family.read_text(encoding="utf-8")))
+    assert_certificate_replays(fam, doc)

@@ -1,8 +1,13 @@
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
     CONSTANT_ONE,
+    assert_certificate_replays,
+    block_families,
     brute_max_matching,
     brute_max_surplus,
     finite,
@@ -10,11 +15,11 @@ from conftest import (
 )
 from projclass import hall
 from projclass.family import (
-    Constant,
     DisjointBlocks,
     FiniteFamily,
     ProjectionFamily,
     expand_multiplicity,
+    parse_family,
     reindex_to_odd,
     window,
 )
@@ -29,6 +34,8 @@ from projclass.hall import (
     window_surplus,
 )
 
+FAMILIES = Path(__file__).parent / "golden" / "families"
+
 small_sets = st.lists(
     st.frozensets(st.integers(1, 8), max_size=5), min_size=0, max_size=6
 ).map(tuple)
@@ -36,19 +43,19 @@ small_sets = st.lists(
 
 def test_max_matching_disjoint_singletons():
     g = BipartiteIncidence.from_family(finite({1}, {2}, {3}))
-    size, matching = max_matching(g)
+    size, matching, _ = max_matching(g)
     assert size == 3
     assert sorted(matching.items()) == [(1, 1), (2, 2), (3, 3)]
 
 
 def test_max_matching_shared_element():
-    size, matching = max_matching(BipartiteIncidence.from_family(finite({1}, {1})))
+    size, matching, _ = max_matching(BipartiteIncidence.from_family(finite({1}, {1})))
     assert size == 1
     assert len(matching) == 1
 
 
 def test_max_matching_four_positions():
-    size, _ = max_matching(BipartiteIncidence.from_family(finite({1, 2}, {1}, {2}, {3})))
+    size, _, _ = max_matching(BipartiteIncidence.from_family(finite({1, 2}, {1}, {2}, {3})))
     assert size == 3
 
 
@@ -140,13 +147,13 @@ def test_decision_doc_shape():
 @given(sets=small_sets)
 def test_defect_identity(sets):
     fam = FiniteFamily(sets)
-    size, _ = max_matching(BipartiteIncidence.from_family(fam))
+    size, _, _ = max_matching(BipartiteIncidence.from_family(fam))
     assert size == len(sets) - brute_max_surplus(sets, 1)
 
 
 @given(sets=small_sets)
 def test_matching_size_matches_backtracking(sets):
-    size, _ = max_matching(BipartiteIncidence.from_family(FiniteFamily(sets)))
+    size, _, _ = max_matching(BipartiteIncidence.from_family(FiniteFamily(sets)))
     assert size == brute_max_matching(sets)
 
 
@@ -204,16 +211,13 @@ def chain_sets(n: int) -> tuple[frozenset, ...]:
 
 
 def test_max_matching_long_augmenting_path():
-    size, matching = max_matching(BipartiteIncidence.from_family(FiniteFamily(chain_sets(5000))))
+    size, matching, _ = max_matching(BipartiteIncidence.from_family(FiniteFamily(chain_sets(5000))))
     assert size == 5000
     assert matching[5000] == 1 and matching[1] == 2 and matching[4999] == 5000
 
 
-def test_reaching_window_found_by_bisection(monkeypatch):
-    # a chain with an SDR, then {1}, {1}: surplus 1 is first reached at
-    # window 2001, so a window-by-window scan would match 2001 windows where
-    # bisection over the 2002-window bound probes about log2(2002) of them
-    fam = FiniteFamily(chain_sets(2000) + (frozenset({1}), frozenset({1})))
+def count_matchings(monkeypatch) -> list[int]:
+    """Record the family length of every hall.max_surplus call from here on."""
     calls = []
 
     def counting(f, n=1):
@@ -221,29 +225,40 @@ def test_reaching_window_found_by_bisection(monkeypatch):
         return max_surplus(f, n)
 
     monkeypatch.setattr(hall, "max_surplus", counting)
+    return calls
+
+
+def test_reaching_window_found_by_bisection(monkeypatch):
+    # a chain with an SDR, then {1}, {1}: surplus 1 is first reached at
+    # window 2001, so a window-by-window scan would match 2001 windows where
+    # bisection over the 2002-window bound probes about log2(2002) of them
+    fam = FiniteFamily(chain_sets(2000) + (frozenset({1}), frozenset({1})))
+    calls = count_matchings(monkeypatch)
     dec = decide_trivial_minorization(fam, 1, 1)
     assert dec.decision and dec.window == 2001
     assert len(calls) <= 2 + len(fam.sets).bit_length()
 
 
-@st.composite
-def block_families(draw, constant=False, finite=False):
-    """Random prefix plus a disjoint-block tail, optionally on odd identifiers.
+def test_surplus_sup_matches_only_the_prefix(monkeypatch):
+    # the 3999 blocks smaller than 4000 are summed, not expanded: one
+    # matching of the empty prefix and no certificate
+    calls = count_matchings(monkeypatch)
+    certificates = []
+    monkeypatch.setattr(hall, "window_surplus", lambda *args: certificates.append(args))
+    sup = hall.surplus_sup(triangular(), 4000)
+    assert (sup.value, sup.window) == (7_998_000, 3999)
+    assert sup.witness_F == tuple(range(1, 4000))
+    assert calls == [0] and certificates == []
 
-    constant=True puts a constant tail instead, finite=True no tail at all.
-    """
-    prefix = draw(st.lists(st.frozensets(st.integers(1, 6), max_size=4), max_size=5))
-    top = max((max(s) for s in prefix if s), default=0)
-    start = top + 1 + draw(st.integers(0, 2))
-    if finite:
-        tail = None
-    elif constant:
-        tail = Constant(draw(st.frozensets(st.integers(1, 8), max_size=3)))
-    else:
-        a, b = draw(st.sampled_from([(a, b) for a in range(4) for b in range(4)][1:]))
-        tail = DisjointBlocks(a, b, start)
-    fam = ProjectionFamily(tuple(prefix), tail)
-    return reindex_to_odd(fam) if draw(st.booleans()) else fam
+
+def test_constant_tail_decision_matches_at_most_three_windows(monkeypatch):
+    # the prefix, the prefix with the tail's identifiers held, and the
+    # certificate; the reaching window past the prefix is arithmetic
+    fam = parse_family(json.loads((FAMILIES / "constant.json").read_text(encoding="utf-8")))
+    calls = count_matchings(monkeypatch)
+    dec = decide_trivial_minorization(fam, 40, 1)
+    assert dec.decision and dec.window == 43 and dec.certificate.max_surplus == 40
+    assert len(calls) <= 3
 
 
 @settings(max_examples=300)
@@ -286,3 +301,15 @@ def test_decision_window_is_the_smallest_reaching_window(fam):
             if reaching:
                 assert dec.window == reaching[0].positions
                 assert dec.certificate == reaching[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    fam=st.one_of(
+        block_families(), block_families(constant=True), block_families(finite=True)
+    ),
+    n=st.integers(1, 5),
+    m=st.integers(1, 20),
+)
+def test_decision_certificates_replay(fam, n, m):
+    assert_certificate_replays(fam, decide_trivial_minorization(fam, m, n).to_doc())

@@ -47,7 +47,7 @@ def scipy_size(sets) -> int:
 @settings(max_examples=200, deadline=None)
 @given(sets=families, n=st.integers(1, 3))
 def test_matching_and_surplus_agree_with_independent_matchers(sets, n):
-    size, matching = max_matching(BipartiteIncidence.from_family(FiniteFamily(sets)))
+    size, matching, _ = max_matching(BipartiteIncidence.from_family(FiniteFamily(sets)))
     assert size == len(matching) == networkx_size(sets) == scipy_size(sets)
     expanded = expand_multiplicity(FiniteFamily(sets), n).sets
     expected = n * len(sets) - networkx_size(expanded)
