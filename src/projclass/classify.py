@@ -9,13 +9,13 @@ subsets F, of the surplus m|F| - |union of F| at multiplicity m.
   * Unbounded at some m: arbitrarily many trivial summands fit under m
     copies, the projection is full, and m copies are properly infinite.
 
-For the supported tail rules the supremum is computed exactly, by
-hall.surplus_sup.  Tail blocks are disjoint from everything else, so a tail
-position i contributes m - size(i) independently of all other choices:
-positions with oversized blocks never help, only the explicit prefix is
-handed to the matching engine, and the blocks are summed as a series.
-Constant tails and undersized constant blocks grow without bound, from the
-multiplicity hall.unbounded_multiplicity names.
+For the supported tail rules the supremum is computed exactly, by one
+hall.SurplusProfile per multiplicity.  Tail blocks are disjoint from
+everything else, so a tail position i contributes m - size(i) independently
+of all other choices: only the explicit prefix is matched, and the blocks
+are summed as a series.  Constant tails and undersized constant blocks grow
+without bound, from the multiplicity hall.unbounded_multiplicity names; the
+ten surplus samples of a full family are read off one profile.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ from .family import Constant, ProjectionFamily
 from .hall import (  # noqa: F401  SurplusSup, surplus_window_bound: re-exported
     INFINITE,
     Infinite,
+    SurplusProfile,
     SurplusSup,
     decide_trivial_minorization,
     surplus_sup,
     surplus_window_bound,
     unbounded_multiplicity,
-    window_surplus,
 )
 
 LABEL_NON_FULL = "non_full_stably_finite"
@@ -123,18 +123,16 @@ def classify(fam: ProjectionFamily, m_max: int = 6) -> Classification:
     witness_m = unbounded_multiplicity(fam)
     if witness_m is not None:
         start = _strict_sample_start(fam)
-        samples = tuple(
-            (t, window_surplus(fam, t, witness_m).max_surplus)
-            for t in range(start, start + 10)
-        )
+        profile = SurplusProfile(fam, witness_m)
+        samples = tuple((t, profile.surplus(t)) for t in range(start, start + 10))
         return Classification(LABEL_FULL, witness_m=witness_m, surplus_samples=samples)
-    table = {}
-    for m in range(1, m_max + 1):
+    tight = find_tight_set(fam)
+    table = {1: tight.k + 1}
+    for m in range(2, m_max + 1):
         n = compute_N(fam, m)
         if isinstance(n, Infinite):
             raise AssertionError("non-full shape produced an unbounded threshold")
         table[m] = n
-    tight = find_tight_set(fam)
     return Classification(LABEL_NON_FULL, n_table=table, k=tight.k, tight_set=tight)
 
 

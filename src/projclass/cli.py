@@ -181,16 +181,9 @@ def cmd_endo_sim(args) -> tuple[dict, int]:
     from .dynamics import DEFAULT_ENTRY_CAP, simulate
 
     fam = _load_family(args.family)
-    if args.k == "auto":
-        k = None
-    else:
-        try:
-            k = int(args.k)
-        except ValueError:
-            raise FamilyFormatError(f'--k takes an integer or "auto", got {args.k!r}')
     cap = int(os.environ.get("PROJCLASS_ENTRY_CAP", DEFAULT_ENTRY_CAP))
     try:
-        report = simulate(fam, args.depth, args.window, args.prefix, k, cap)
+        report = simulate(fam, args.depth, args.window, args.prefix, cap)
     except ValueError as exc:
         raise FamilyFormatError(str(exc))
     doc = report.to_doc()
@@ -332,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--prefix", type=int, required=True)
-    p.add_argument("--k", default="auto", help='pool size override, or "auto"')
     p.add_argument("--dump-assignment", action="store_true")
 
     p = add("oracle-check", cmd_oracle_check, "cross-check the oracles on small families")

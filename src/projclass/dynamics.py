@@ -211,7 +211,10 @@ def _ordered_matching(candidates: list[Callable[[], Iterable[int]]]) -> list[int
     and only as far as they are read.  First pass hands every source its
     first still-free candidate; stuck sources then augment along alternating
     paths, again in candidate order.  Returns None when no perfect matching
-    exists.
+    exists.  hall.max_matching is not used here: its first breadth-first
+    phase reads every candidate, while this reads and interns them lazily.
+    Handing each layer to it took endo-sim padded, depth 1, window 4, prefix
+    200 from 24 ms to 354 ms in-process (2 vCPUs), with the same output.
     """
     owner: dict[int, int] = {}
     choice: list[int | None] = [None] * len(candidates)
@@ -430,20 +433,16 @@ def simulate(
     depth: int,
     window_w: int,
     prefix_len: int,
-    k: int | None = None,
     entry_cap: int = DEFAULT_ENTRY_CAP,
 ) -> SimulationReport:
     """Run the whole pipeline on one family.
 
     The family is first relabelled onto odd identifiers so the even marker
-    identifiers are fresh; k and the tight set are computed from the family
-    unless k is supplied, in which case it must agree with the computed one.
+    identifiers are fresh; k and the tight set are computed from the family.
     The entry cap is checked before anything is built.
     """
     odd = reindex_to_odd(fam)
     tight = find_tight_set(odd)
-    if k is not None and k != tight.k:
-        raise ValueError(f"supplied k={k} disagrees with the computed k={tight.k}")
     entries = entry_count(depth, window_w, prefix_len, entry_cap)
     trans = build_transversal(odd, depth, window_w, prefix_len, tight.k, tight.positions)
     return SimulationReport(

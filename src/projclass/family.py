@@ -134,10 +134,6 @@ class ProjectionFamily(_Checked, _FamilyFields):
                 )
         return super().__new__(cls, prefix, tail)
 
-    @property
-    def is_finite(self) -> bool:
-        return self.tail is None
-
 
 class _FiniteFields(NamedTuple):
     sets: tuple[IndexSet, ...]

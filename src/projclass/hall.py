@@ -12,18 +12,13 @@ everywhere else:
     unique inclusion-minimal witness is the set of positions reachable from
     unmatched ones along alternating paths.  The same sweep, run on every
     matching before it is returned, confirms that no augmenting path remains;
-  * window_surplus: max_surplus of a window of a symbolic family.  Disjoint
-    block tails touch nothing else, so only the explicit prefix is matched;
-    each tail block adds n - size(i) when positive, and its part of the
-    certificate is written down directly;
-  * surplus_sup: the supremum of the window surpluses, or unbounded: one
-    prefix matching plus the arithmetic series of the small tail blocks;
-  * surplus_window_bound: the smallest window reaching a target surplus, by
-    bisection inside the prefix and by arithmetic past it;
+  * SurplusProfile: the window surplus S(t) of one family at one n, with its
+    supremum, its smallest reaching window and its certificates.  Past the
+    prefix S is arithmetic, and no window is matched twice.  window_surplus,
+    surplus_sup and surplus_window_bound each read one profile;
   * decide_trivial_minorization: do m trivial rank-one summands embed under
     n copies of the family's projection, which holds exactly when some finite
-    window reaches surplus m at multiplicity n.  Its one certificate is
-    window_surplus at the answer's window.
+    window reaches surplus m at multiplicity n.
 
 All computations are exact; every answer carries a finite witness and every
 matching is re-checked for maximality before being reported.
@@ -278,38 +273,6 @@ def _block_gain(tail: DisjointBlocks, n: int, k: int) -> int:
     return k * (n - tail.b) - tail.a * k * (k + 1) // 2
 
 
-def window_surplus(fam: ProjectionFamily, t: int, n: int) -> SurplusReport:
-    """max_surplus(window(fam, t), n), field for field, without the tail expansion.
-
-    Past the prefix of a disjoint-block family every tail block is disjoint
-    from all other sets, so the n-fold expansion splits into the expanded
-    prefix plus one complete bipartite piece per block.  Only the prefix is
-    matched; block i then adds max(0, n - size(i)) to the surplus, joins the
-    witness exactly when size(i) < n, and its copy c (c <= min(n, size(i)))
-    sits at expanded position (p+i-1)*n + c matched to the c-th smallest
-    identifier of the block, which is what Hopcroft-Karp picks there.
-    Other windows go through the matching engine whole.
-    """
-    tail = fam.tail
-    p = len(fam.prefix)
-    if t <= p or not isinstance(tail, DisjointBlocks):
-        return max_surplus(window(fam, t), n)
-    rep = max_surplus(window(fam, p), n)
-    surplus = rep.max_surplus + _block_gain(tail, n, t - p)
-    witness = list(rep.witness_F)
-    matching = list(rep.matching)
-    for i in range(1, t - p + 1):
-        size = tail.size(i)
-        if size < n:
-            witness.append(p + i)
-        base = (p + i - 1) * n
-        first = tail.first(i)
-        matching.extend(
-            (base + c, first + tail.stride * (c - 1)) for c in range(1, min(n, size) + 1)
-        )
-    return SurplusReport(n, t, surplus, tuple(witness), tuple(matching))
-
-
 class SurplusSup(NamedTuple):
     """Outcome of the surplus supremum at one multiplicity.
 
@@ -354,50 +317,101 @@ def _unbounded_reason(fam: ProjectionFamily, n: int) -> str:
     )
 
 
-def surplus_sup(fam: ProjectionFamily, n: int) -> SurplusSup:
-    """Supremum over all finite position subsets of n|F| - |union of F|.
+class SurplusProfile:
+    """The window surplus S(t) = max_surplus(window(fam, t), n) of one family at one n.
 
-    Tail blocks are disjoint from all other sets, so block i adds
-    max(0, n - size(i)) whatever else is chosen: only the prefix is matched.
+    S never decreases: a longer window keeps every subset of a shorter one.
+    Inside the prefix each S(t) is one matching, kept once made.  Past it S
+    is arithmetic on S0 = S(p): tail blocks are disjoint from all other sets,
+    so block i adds max(0, n - size(i)) whatever else is chosen; a subset
+    holding one copy of a constant tail C may as well hold them all, so
+    S(p + k) = max(S0, SC + n*k) with SC = max_surplus(prefix minus C) - |C|.
     """
-    if n < 1:
-        raise ValueError(f"multiplicity must be >= 1, got {n}")
-    start = unbounded_multiplicity(fam)
-    if start is not None and n >= start:
-        return SurplusSup(n, INFINITE, None, None, _unbounded_reason(fam, n))
-    p = len(fam.prefix)
-    rep = max_surplus(window(fam, p), n)
-    tail = fam.tail
-    k = max(0, (n - 1 - tail.b) // tail.a) if isinstance(tail, DisjointBlocks) and tail.a else 0
-    value = rep.max_surplus + (_block_gain(tail, n, k) if k else 0)
-    return SurplusSup(n, value, p + k, rep.witness_F + tuple(range(p + 1, p + k + 1)), None)
+
+    def __init__(self, fam: ProjectionFamily, n: int):
+        if n < 1:
+            raise ValueError(f"multiplicity must be >= 1, got {n}")
+        self.fam, self.n, self.p = fam, n, len(fam.prefix)
+        self._reports: dict[int, SurplusReport] = {}
+        self._held: int | None = None  # SC, matched on first use
+
+    def _match(self, t: int) -> SurplusReport:
+        if t not in self._reports:
+            self._reports[t] = max_surplus(window(self.fam, t), self.n)
+        return self._reports[t]
+
+    def surplus(self, t: int) -> int:
+        tail, p, n = self.fam.tail, self.p, self.n
+        if t <= p or tail is None:
+            return self._match(t).max_surplus
+        s0 = self._match(p).max_surplus
+        if isinstance(tail, DisjointBlocks):
+            return s0 + _block_gain(tail, n, t - p)
+        if self._held is None:
+            held = FiniteFamily(s - tail.members for s in self.fam.prefix)
+            self._held = max_surplus(held, n).max_surplus - len(tail.members)
+        return max(s0, self._held + n * (t - p))
+
+    def sup(self) -> SurplusSup:
+        """The supremum of S: past the prefix only tail blocks smaller than n add."""
+        fam, tail, n, p = self.fam, self.fam.tail, self.n, self.p
+        start = unbounded_multiplicity(fam)
+        if start is not None and n >= start:
+            return SurplusSup(n, INFINITE, None, None, _unbounded_reason(fam, n))
+        k = max(0, (n - 1 - tail.b) // tail.a) if isinstance(tail, DisjointBlocks) and tail.a else 0
+        witness = self._match(p).witness_F + tuple(range(p + 1, p + k + 1))
+        return SurplusSup(n, self.surplus(p + k), p + k, witness, None)
+
+    def reach(self, target: int) -> int:
+        """The smallest window t with S(t) >= target, by one bisection of S.
+
+        Past the prefix each tail block adds at least 1 until the target is
+        reached, and SC >= -|C|, so window p + target + |C| reaches it.
+        """
+        sup = self.sup().value
+        if not isinstance(sup, Infinite) and target > sup:
+            raise ValueError(f"no window reaches surplus {target}: the supremum is {sup}")
+        p, tail = self.p, self.fam.tail
+        if target <= self.surplus(p):
+            lo, hi = 1, p
+        else:
+            lo, hi = p + 1, p + target + (len(tail.members) if isinstance(tail, Constant) else 0)
+        return bisect_left(range(hi), target, lo=lo, key=self.surplus)
+
+    def report(self, t: int) -> SurplusReport:
+        """max_surplus(window(fam, t), n), field for field.
+
+        Past the prefix of a block tail the kept prefix report is extended:
+        block i joins the witness exactly when size(i) < n, and its copy
+        c <= min(n, size(i)) sits at expanded position (p+i-1)*n + c matched
+        to the block's c-th smallest identifier, as Hopcroft-Karp picks it.
+        """
+        tail, p, n = self.fam.tail, self.p, self.n
+        if t <= p or not isinstance(tail, DisjointBlocks):
+            return self._match(t)
+        rep, blocks = self._match(p), range(1, t - p + 1)
+        witness = rep.witness_F + tuple(p + i for i in blocks if tail.size(i) < n)
+        matching = rep.matching + tuple(
+            ((p + i - 1) * n + c, tail.first(i) + tail.stride * (c - 1))
+            for i in blocks
+            for c in range(1, min(n, tail.size(i)) + 1)
+        )
+        return SurplusReport(n, t, self.surplus(t), witness, matching)
+
+
+def window_surplus(fam: ProjectionFamily, t: int, n: int) -> SurplusReport:
+    """max_surplus(window(fam, t), n), without the tail expansion."""
+    return SurplusProfile(fam, n).report(t)
+
+
+def surplus_sup(fam: ProjectionFamily, n: int) -> SurplusSup:
+    """Supremum over all finite position subsets of n|F| - |union of F|."""
+    return SurplusProfile(fam, n).sup()
 
 
 def surplus_window_bound(fam: ProjectionFamily, n: int, target: int) -> int:
-    """The smallest window whose surplus at multiplicity n reaches a reachable target.
-
-    A longer window keeps every subset of a shorter one, so the surplus S(t)
-    never decreases.  Inside the prefix it is bisected, one matching per
-    probe.  Past it S(p + k) is S0 plus the block series, or for a constant
-    tail C, max(S0, SC + n*k) with SC = max_surplus(prefix minus C) - |C|.
-    """
-    p = len(fam.prefix)
-    tail = fam.tail
-    if tail is not None:
-        need = target - max_surplus(window(fam, p), n).max_surplus
-        if need > 0:
-            if isinstance(tail, Constant):
-                held = FiniteFamily(s - tail.members for s in fam.prefix)
-                sc = max_surplus(held, n).max_surplus - len(tail.members)
-                return p + max(1, -((sc - target) // n))
-            # constant-size blocks smaller than n add at least 1 per position
-            last = (n - 1 - tail.b) // tail.a if tail.a else need
-            return p + bisect_left(
-                range(last + 1), need, lo=1, key=lambda k: _block_gain(tail, n, k)
-            )
-    return bisect_left(
-        range(p), target, lo=1, key=lambda w: max_surplus(window(fam, w), n).max_surplus
-    )
+    """The smallest window whose surplus at multiplicity n reaches target; ValueError if none does."""
+    return SurplusProfile(fam, n).reach(target)
 
 
 def decide_trivial_minorization(
@@ -405,20 +419,20 @@ def decide_trivial_minorization(
 ) -> MinorizationDecision:
     """Decide whether m trivial rank-one summands embed under n copies of Q.
 
-    The certificate is the surplus report of the supremum's window when the
-    answer is no, of the smallest reaching window when it is yes.
+    One profile answers the supremum, the window and the certificate: the
+    surplus report of the supremum's window when the answer is no, of the
+    smallest reaching window when it is yes.
     """
     if isinstance(fam, FiniteFamily):
         fam = ProjectionFamily(fam.sets)
     if m < 1 or n < 1:
         raise ValueError(f"m and n must be >= 1, got m={m}, n={n}")
-    sup = surplus_sup(fam, n)
+    profile = SurplusProfile(fam, n)
+    sup = profile.sup()
     if not isinstance(sup.value, Infinite) and sup.value < m:
-        return MinorizationDecision(
-            False, m, n, sup.value, sup.window, window_surplus(fam, sup.window, n)
-        )
-    t = surplus_window_bound(fam, n, m)
-    rep = window_surplus(fam, t, n)
+        return MinorizationDecision(False, m, n, sup.value, sup.window, profile.report(sup.window))
+    t = profile.reach(m)
+    rep = profile.report(t)
     if rep.max_surplus < m:
         raise AssertionError("certified surplus not reached")
     return MinorizationDecision(True, m, n, sup.value, t, rep, sup.reason)

@@ -173,6 +173,18 @@ def test_surplus_window_bound_reaches_target(fam):
                 assert surplus_window_bound(fam, n, m) == first
 
 
+def test_surplus_window_bound_refuses_targets_past_the_supremum():
+    # the supremum of the triangular family is 0 at n = 1 and 3 at n = 3;
+    # no window reaches more, so no window is returned
+    for n, target in ((1, 1), (1, 5), (3, 4), (3, 100)):
+        with pytest.raises(ValueError, match="no window reaches"):
+            surplus_window_bound(triangular(), n, target)
+    fam = ProjectionFamily((frozenset({1}), frozenset({1})), None)
+    assert surplus_window_bound(fam, 1, 1) == 2
+    with pytest.raises(ValueError, match="no window reaches"):
+        surplus_window_bound(fam, 1, 2)
+
+
 def test_classify_invariant_under_reindex():
     for fam in (triangular(), padded_triangular(), CONSTANT_ONE, SINGLETON_BLOCKS):
         a = classify(fam)

@@ -136,24 +136,6 @@ def test_endo_sim_assignment_dump(capsys, tri_file):
     ]
 
 
-def test_endo_sim_k_flag(capsys, tri_file):
-    code, _, _ = run(
-        capsys, "endo-sim", "--family", tri_file,
-        "--depth", "1", "--window", "1", "--prefix", "2", "--k", "0",
-    )
-    assert code == 0
-    code, _, err = run(
-        capsys, "endo-sim", "--family", tri_file,
-        "--depth", "1", "--window", "1", "--prefix", "2", "--k", "5",
-    )
-    assert code == 2 and "disagrees" in err
-    code, _, err = run(
-        capsys, "endo-sim", "--family", tri_file,
-        "--depth", "1", "--window", "1", "--prefix", "2", "--k", "lots",
-    )
-    assert code == 2 and "auto" in err
-
-
 def test_endo_sim_entry_cap_env(capsys, tri_file, monkeypatch):
     monkeypatch.setenv("PROJCLASS_ENTRY_CAP", "10")
     code, _, err = run(

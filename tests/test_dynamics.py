@@ -276,13 +276,6 @@ def test_simulate_reports_all_checks():
     assert set(doc) == {"entries", "transversal_ok", "hall_ok", "k", "F0"}
 
 
-def test_simulate_accepts_matching_k_only():
-    report = simulate(padded_triangular(), depth=1, window_w=1, prefix_len=2, k=1)
-    assert report.k == 1 and report.tight_positions == (1, 2)
-    with pytest.raises(ValueError, match="disagrees"):
-        simulate(padded_triangular(), depth=1, window_w=1, prefix_len=2, k=3)
-
-
 def test_simulate_refuses_full_families():
     with pytest.raises(FullFamilyError):
         simulate(CONSTANT_ONE, depth=1, window_w=1, prefix_len=2)
@@ -380,7 +373,7 @@ def test_hall_check_gamma_agrees_with_the_surplus_recursion(sets, a, b, p, depth
     assert hall_check_gamma(gamma) == (orbit_surplus(odd, p, w, depth, k) == 0)
 
 
-def materialized_simulate(fam, depth, w, p, k=None, cap=DEFAULT_ENTRY_CAP):
+def materialized_simulate(fam, depth, w, p, cap=DEFAULT_ENTRY_CAP):
     """The materialized route: Gamma built, and every check reading its sets.
 
     Returns the report document and the transversal document, as simulate's
@@ -388,8 +381,6 @@ def materialized_simulate(fam, depth, w, p, k=None, cap=DEFAULT_ENTRY_CAP):
     """
     odd = reindex_to_odd(fam)
     tight = find_tight_set(odd)
-    if k is not None and k != tight.k:
-        raise ValueError(f"supplied k={k} disagrees with the computed k={tight.k}")
     gamma = gamma_iterate(odd, p, w, depth, tight.k, cap)
     table, sets = gamma.table, window(odd, p).sets
     if depth == 0:
@@ -443,8 +434,8 @@ def outcome(route, *args):
         return type(exc), str(exc)
 
 
-def simulated(fam, depth, w, p, k=None, cap=DEFAULT_ENTRY_CAP):
-    report = simulate(fam, depth, w, p, k, cap)
+def simulated(fam, depth, w, p, cap=DEFAULT_ENTRY_CAP):
+    report = simulate(fam, depth, w, p, cap)
     return report.to_doc(), report.transversal.to_doc()
 
 
@@ -465,12 +456,11 @@ tails = st.one_of(
     p=st.integers(0, 5),
     depth=st.integers(0, 3),
     w=st.integers(0, 2),
-    k=st.one_of(st.none(), st.integers(0, 2)),
     cap=st.sampled_from([DEFAULT_ENTRY_CAP, 20]),
 )
-def test_simulate_equals_the_materialized_route(sets, tail, p, depth, w, k, cap):
+def test_simulate_equals_the_materialized_route(sets, tail, p, depth, w, cap):
     fam = ProjectionFamily(tuple(sets), tail)
-    args = (fam, depth, w, p, k, cap)
+    args = (fam, depth, w, p, cap)
     assert outcome(simulated, *args) == outcome(materialized_simulate, *args)
 
 

@@ -11,10 +11,13 @@ from conftest import (
     brute_max_matching,
     brute_max_surplus,
     finite,
+    padded_triangular,
     triangular,
 )
 from projclass import hall
+from projclass.classify import LABEL_FULL, classify
 from projclass.family import (
+    Constant,
     DisjointBlocks,
     FiniteFamily,
     ProjectionFamily,
@@ -244,21 +247,71 @@ def test_surplus_sup_matches_only_the_prefix(monkeypatch):
     # matching of the empty prefix and no certificate
     calls = count_matchings(monkeypatch)
     certificates = []
-    monkeypatch.setattr(hall, "window_surplus", lambda *args: certificates.append(args))
+    report = hall.SurplusProfile.report
+    monkeypatch.setattr(
+        hall.SurplusProfile, "report", lambda self, t: certificates.append(t) or report(self, t)
+    )
     sup = hall.surplus_sup(triangular(), 4000)
     assert (sup.value, sup.window) == (7_998_000, 3999)
     assert sup.witness_F == tuple(range(1, 4000))
     assert calls == [0] and certificates == []
 
 
-def test_constant_tail_decision_matches_at_most_three_windows(monkeypatch):
-    # the prefix, the prefix with the tail's identifiers held, and the
-    # certificate; the reaching window past the prefix is arithmetic
-    fam = parse_family(json.loads((FAMILIES / "constant.json").read_text(encoding="utf-8")))
+@pytest.mark.parametrize(
+    "fam, m, n, window_len, prefix_len",
+    [
+        # a finite chain with a system of distinct representatives: negative
+        (FiniteFamily(chain_sets(50)), 1, 1, 50, 50),
+        # {1}, {1} then blocks of size 1, 2, ...: at n = 2 the supremum 4 sits
+        # at window 3, past the prefix, for the negative and the positive answer
+        (padded_triangular(), 5, 2, 3, 2),
+        (padded_triangular(), 4, 2, 3, 2),
+        # undersized constant blocks: unbounded, reached past the prefix
+        (ProjectionFamily([{1}, {1}], DisjointBlocks(0, 1, 2)), 10, 3, 5, 2),
+    ],
+)
+def test_decision_matches_the_prefix_once(monkeypatch, fam, m, n, window_len, prefix_len):
+    # the supremum, the reaching window and the certificate all read the one
+    # prefix matching
     calls = count_matchings(monkeypatch)
-    dec = decide_trivial_minorization(fam, 40, 1)
-    assert dec.decision and dec.window == 43 and dec.certificate.max_surplus == 40
-    assert len(calls) <= 3
+    dec = decide_trivial_minorization(fam, m, n)
+    assert dec.window == window_len and (dec.certificate.max_surplus >= m) == dec.decision
+    assert calls == [prefix_len]
+
+
+def test_constant_tail_decision_matches_at_most_three_windows(monkeypatch):
+    calls = count_matchings(monkeypatch)
+    for fam, m, window_len in (
+        # the prefix, the prefix with the tail's identifiers held, and the
+        # certificate; the reaching window past the prefix is arithmetic
+        (parse_family(json.loads((FAMILIES / "constant.json").read_text(encoding="utf-8"))), 40, 43),
+        # reached inside the prefix: the prefix and two bisection probes; the
+        # certificate is the kept report of the probe at window 2
+        (ProjectionFamily([{1}, {1}, {2}, {3}], Constant(frozenset({4}))), 1, 2),
+    ):
+        calls.clear()
+        dec = decide_trivial_minorization(fam, m, 1)
+        assert dec.decision and dec.window == window_len and dec.certificate.max_surplus == m
+        assert len(calls) <= 3
+
+
+@pytest.mark.parametrize(
+    "fam, most",
+    [
+        (ProjectionFamily([{1}, {1, 2}, {2}], DisjointBlocks(0, 1, 3)), 1),
+        (ProjectionFamily([{1}, {1, 2}], Constant(frozenset({2, 3}))), 2),
+        (ProjectionFamily([{1}, {1, 2}], Constant(frozenset())), 2),
+    ],
+)
+def test_full_classification_reads_one_profile(monkeypatch, fam, most):
+    # the ten surplus samples come from one profile: the prefix matching,
+    # plus the held prefix for a constant tail, and no window matched whole
+    calls = count_matchings(monkeypatch)
+    got = classify(fam)
+    assert got.label == LABEL_FULL and len(got.surplus_samples) == 10
+    assert len(calls) <= most
+    for t, s in got.surplus_samples:
+        assert s == max_surplus(window(fam, t), got.witness_m).max_surplus
 
 
 @settings(max_examples=300)
