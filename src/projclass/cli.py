@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from typing import Sequence
 
@@ -30,17 +29,11 @@ from .errors import (
     UndecidableFamilyError,
     WindowTooLargeError,
 )
-from .euler import euler_class, indicator_vector, sdr_count
-from .family import FiniteFamily, ProjectionFamily, parse_family
-from .hall import decide_trivial_minorization, sdr_exists, surplus_sup
+from .family import ProjectionFamily, parse_family
+from .hall import decide_trivial_minorization, surplus_sup
 
-# classify and dynamics are imported by the subcommands that use them, so
-# the other subcommands never load them.  The oracle's routes stay names of
-# this module: oracle_check calls them once per case.
-
-# oracle-check refuses when its cases times 2 ** max_ground, the subsets the
-# permanent route may sweep per case, pass this
-ORACLE_WORK_CAP = 1 << 24
+# classify, dynamics, euler and oracle are imported by the subcommands that
+# use them, so the other subcommands never load them.
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -136,6 +129,8 @@ def cmd_nbound(args) -> tuple[dict, int]:
 
 
 def cmd_euler(args) -> tuple[dict, int]:
+    from .euler import euler_class, indicator_vector
+
     bundles_doc = _loads(args.bundles)
     if not isinstance(bundles_doc, list):
         raise FamilyFormatError("bundles must be a JSON array of Chern vectors")
@@ -198,97 +193,10 @@ def cmd_oracle_check(args) -> tuple[dict, int]:
 
 
 def oracle_check(max_sets: int, max_ground: int, random_cases: int, seed: int) -> dict:
-    """Cross-check all four routes to the Hall question on small families.
+    """The oracle cross-check of projclass.oracle, loaded on first use."""
+    from .oracle import oracle_check as check
 
-    Exhaustively enumerates every ordered family with 1..max_sets subsets of
-    {1..max_ground} (empty sets included), then adds seeded random families
-    within the same bounds.  Per family, four independently computed answers
-    must agree: matching-based sdr_exists, Euler class nonvanishing, positive
-    permanent, and a direct subset sweep showing no surplus.  Bounds with
-    more than 250 000 exhaustive cases, or whose cases, random ones included,
-    times 2 ** max_ground pass ORACLE_WORK_CAP, are refused before any case runs.
-    """
-    if max_sets < 1 or max_ground < 1:
-        raise OracleBoundsError("bounds must be >= 1")
-    if random_cases < 0:
-        raise OracleBoundsError("random cases must be >= 0")
-    # at max_ground 18 the 2 ** 18 one-set families alone pass the cap, so
-    # refuse before computing a total that grows as 2 ** (max_ground * s)
-    if max_sets > 7 or max_ground > 17:
-        raise OracleBoundsError("bounds too large for exhaustive oracle")
-    total = sum((2 ** max_ground) ** s for s in range(1, max_sets + 1))
-    if total > 250_000 or (total + random_cases) << max_ground > ORACLE_WORK_CAP:
-        raise OracleBoundsError("bounds too large for exhaustive oracle")
-
-    subsets = [
-        frozenset(i + 1 for i in range(max_ground) if mask >> i & 1)
-        for mask in range(2 ** max_ground)
-    ]
-    exhaustive = 0
-    disagreements: list[dict] = []
-    import itertools
-
-    for size in range(1, max_sets + 1):
-        for combo in itertools.product(subsets, repeat=size):
-            exhaustive += 1
-            if not _four_way_agree(combo):
-                disagreements.append({"sets": [sorted(s) for s in combo]})
-
-    rng = random.Random(seed)
-    for _ in range(random_cases):
-        size = rng.randint(1, max_sets)
-        combo = tuple(
-            frozenset(rng.sample(range(1, max_ground + 1), rng.randint(0, max_ground)))
-            for _ in range(size)
-        )
-        if not _four_way_agree(combo):
-            disagreements.append({"sets": [sorted(s) for s in combo]})
-
-    doc = {
-        "max_sets": max_sets,
-        "max_ground": max_ground,
-        "seed": seed,
-        "exhaustive_cases": exhaustive,
-        "random_cases": random_cases,
-        "disagreements": len(disagreements),
-    }
-    if disagreements:
-        doc["counterexamples"] = disagreements[:5]
-    return doc
-
-
-def _four_way_agree(sets: tuple[frozenset[int], ...]) -> bool:
-    fam = FiniteFamily(sets)
-    by_matching = sdr_exists(fam)
-    by_euler = bool(euler_class(indicator_vector(s) for s in sets))
-    by_permanent = sdr_count(fam) > 0
-    by_sweep = _subset_sweep(sets)
-    return by_matching == by_euler == by_permanent == by_sweep
-
-
-def _subset_sweep(sets: Sequence[frozenset[int]]) -> bool:
-    """Hall's condition by direct sweep: no subset of positions is deficient.
-
-    Shares no code with the matching engine.  Each set becomes a bitmask with
-    one bit per ground element, and the union of a subset of positions is the
-    union of the subset without its lowest position plus that position's row,
-    so every subset costs one OR; the sweep stops at the first subset with
-    more positions than elements.
-    """
-    bit = {e: 1 << k for k, e in enumerate(frozenset().union(*sets))}
-    rows = {}
-    for p, s in enumerate(sets):
-        row = 0
-        for e in s:
-            row |= bit[e]
-        rows[1 << p] = row
-    union = [0] * (1 << len(sets))
-    for mask in range(1, len(union)):
-        low = mask & -mask
-        u = union[mask] = union[mask ^ low] | rows[low]
-        if mask.bit_count() > u.bit_count():
-            return False
-    return True
+    return check(max_sets, max_ground, random_cases, seed)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -142,82 +142,90 @@ def euler_class(bundles: Iterable[Mapping[int, int]]) -> MultilinearPoly:
 
     The empty sum has Euler class 1.  Every bundle is validated by
     chern_vector, even after the product has vanished.  The product is
-    folded over integer bitmasks: the k-th of the sorted coordinates gets the
-    bit 1 << k (never a shift by the coordinate, which may be huge), so m & b
-    detects a repeated variable, which x_i^2 = 0 kills, and m | b joins two
-    supports.  Coefficients that cancel are dropped at once, the fold stops
-    at zero, and the surviving masks are decoded to frozensets once, at the
-    end: the same polynomial as the fold of linear_form products under
-    MultilinearPoly.__mul__.
+    folded over integer bitmasks by times_form, the k-th of the sorted
+    coordinates taking the bit 1 << k (never a shift by the coordinate,
+    which may be huge).  The fold stops at zero, and the surviving masks are
+    decoded once, at the end.
     """
     vectors = [chern_vector(v) for v in bundles]
     coords = sorted({i for v in vectors for i in v})
     bit = {i: 1 << k for k, i in enumerate(coords)}
     product = {0: 1}
     for v in vectors:
-        form = [(bit[i], c) for i, c in v.items()]
-        out: dict[int, int] = {}
-        for m, a in product.items():
-            for b, c in form:
-                if not m & b:
-                    key = m | b
-                    total = out.get(key, 0) + a * c
-                    if total:
-                        out[key] = total
-                    else:
-                        del out[key]  # a * c != 0, so key was already there
-        product = out
+        product = times_form(product, [(bit[i], c) for i, c in v.items()])
         if not product:
             break
-    terms = {}
+    return MultilinearPoly(
+        {frozenset(coords[k] for k in range(m.bit_length()) if m >> k & 1): a
+         for m, a in product.items()}
+    )
+
+
+def times_form(product: dict[int, int], form: list[tuple[int, int]]) -> dict[int, int]:
+    """A bitmask product {monomial mask: coefficient} times a form [(bit, coefficient)].
+
+    m & b detects a repeated variable, which x_i^2 = 0 kills, and m | b
+    joins two supports.  Coefficients that cancel are dropped at once.
+    """
+    out: dict[int, int] = {}
     for m, a in product.items():
-        support = []
-        while m:
-            low = m & -m
-            support.append(coords[low.bit_length() - 1])
-            m ^= low
-        terms[frozenset(support)] = a
-    return MultilinearPoly(terms)
+        for b, c in form:
+            if not m & b:
+                key = m | b
+                total = out.get(key, 0) + a * c
+                if total:
+                    out[key] = total
+                else:
+                    del out[key]  # a * c != 0, so key was already there
+    return out
 
 
 def sdr_count(fam: FiniteFamily) -> int:
     """Number of systems of distinct representatives, exactly.
 
-    This is the permanent of the position-by-ground incidence matrix.  For t
-    positions over a ground of size g (t <= g) the rectangular inclusion-
-    exclusion formula is used:
-
-        per = (-1)^t * sum over ground subsets S of
-              (-1)^|S| * C(g - |S|, g - t) * prod_j |I_j intersect S|
-
-    which costs 2^g products of row counts; exact over Python integers.
+    This is the permanent of the position-by-ground incidence matrix, by
+    Ryser's formula over the union of the sets.  Its table of at most
+    2^|ground| products is built one set at a time.
     """
-    rows = fam.sets
-    t = len(rows)
-    ground = sorted(fam.ground)
-    g = len(ground)
-    if t == 0:
-        return 1
+    if len(fam.sets) > len(fam.ground):
+        return 0
+    bit: dict[int, int] = {}
+    table = [1]
+    for s in fam.sets:
+        table = ryser_extend(table, bit, s)
+    return ryser_permanent(table, len(fam.sets))
+
+
+def ryser_extend(table: list[int], bit: dict[int, int], row: Iterable[int]) -> list[int]:
+    """Ryser's table after one more row; elements new to bit take the next bits.
+
+    table[S] is prod_j |I_j intersect S| over the rows so far, for every
+    subset S of their union, as a mask of their bits.  Old rows miss the new
+    elements, so their product at S plus new elements is the one at S: the
+    table is replicated once per subset of the new elements, and then one
+    multiply per subset adds the row.
+    """
+    fresh = [e for e in row if e not in bit]
+    for e in fresh:
+        bit[e] = 1 << len(bit)
+    mask = sum(bit[e] for e in row)
+    return [p * (s & mask).bit_count() for s, p in enumerate(table * (1 << len(fresh)))]
+
+
+def ryser_permanent(table: list[int], t: int) -> int:
+    """The permanent of t rows from their table over a ground of size g.
+
+    For t <= g, rectangular inclusion-exclusion over ground subsets S:
+
+        per = sum over S of (-1)^(t - |S|) * C(g - |S|, g - t) * table[S]
+
+    The binomial vanishes for |S| > t.  Exact over Python integers.
+    """
+    g = len(table).bit_length() - 1
     if t > g:
         return 0
-    col = {e: c for c, e in enumerate(ground)}
-    row_masks = []
-    for s in rows:
-        mask = 0
-        for e in s:
-            mask |= 1 << col[e]
-        row_masks.append(mask)
-    total = 0
-    for smask in range(1, 1 << g):
-        prod = 1
-        for rm in row_masks:
-            cnt = (rm & smask).bit_count()
-            if not cnt:
-                prod = 0
-                break
-            prod *= cnt
-        if prod:
-            sbits = smask.bit_count()
-            term = comb(g - sbits, g - t) * prod
-            total += term if (t + sbits) % 2 == 0 else -term
-    return total
+    by_size = [0] * (g + 1)
+    for s, p in enumerate(table):
+        if p:
+            by_size[s.bit_count()] += p
+    return sum((-1) ** (t - k) * comb(g - k, g - t) * by_size[k] for k in range(t + 1))

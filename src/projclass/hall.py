@@ -367,7 +367,10 @@ class SurplusProfile:
 
         Past the prefix each tail block adds at least 1 until the target is
         reached, and SC >= -|C|, so window p + target + |C| reaches it.
+        The empty window 0 has surplus 0, so it reaches any target <= 0.
         """
+        if target <= 0:
+            return 0
         sup = self.sup().value
         if not isinstance(sup, Infinite) and target > sup:
             raise ValueError(f"no window reaches surplus {target}: the supremum is {sup}")

@@ -173,6 +173,13 @@ def test_surplus_window_bound_reaches_target(fam):
                 assert surplus_window_bound(fam, n, m) == first
 
 
+def test_surplus_window_bound_of_a_target_at_most_zero_is_the_empty_window():
+    # window 0 has no positions and surplus 0, which reaches any target <= 0
+    assert surplus_window_bound(triangular(), 1, 0) == 0
+    assert surplus_window_bound(triangular(), 2, -3) == 0
+    assert surplus_window_bound(CONSTANT_ONE, 1, 0) == 0
+
+
 def test_surplus_window_bound_refuses_targets_past_the_supremum():
     # the supremum of the triangular family is 0 at n = 1 and 3 at n = 3;
     # no window reaches more, so no window is returned

@@ -6,7 +6,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from projclass import cli
+from projclass import cli, euler, hall, oracle
 from projclass.cli import main, oracle_check
 from projclass.errors import OracleBoundsError
 from projclass.euler import MultilinearPoly
@@ -394,14 +394,18 @@ def test_oracle_check_refuses_a_huge_ground_before_sizing_it(capsys):
 
 
 def test_oracle_check_refuses_work_past_the_cap_without_running(monkeypatch):
-    monkeypatch.setattr(cli, "_four_way_agree", None)  # any case run would fail
+    # any case run would fail, on the walk or at random
+    monkeypatch.setattr(oracle, "_four_way_agree", None)
+    monkeypatch.setattr(oracle, "_walk", None)
     for bounds in ((1, 17, 0, 0), (1, 13, 0, 0), (2, 8, 0, 0), (3, 5, 500_000, 0)):
         with pytest.raises(OracleBoundsError, match="bounds too large"):
             oracle_check(*bounds)
 
 
 def test_oracle_check_accepts_the_benchmark_and_readme_bounds(monkeypatch):
-    monkeypatch.setattr(cli, "_four_way_agree", lambda sets: True)  # bounds only
+    # bounds only: the walk lists no case and every random one agrees
+    monkeypatch.setattr(oracle, "_four_way_agree", lambda sets: True)
+    monkeypatch.setattr(oracle, "_walk", lambda max_sets, max_ground: iter(()))
     for bounds in ((5, 3, 0, 0), (3, 5, 2000, 0), (3, 3, 1000, 1), (1, 12, 0, 0)):
         assert oracle_check(*bounds)["disagreements"] == 0
 
@@ -441,7 +445,7 @@ def frozenset_sweep(sets):
     ).map(tuple)
 )
 def test_subset_sweep_equals_the_frozenset_sweep(sets):
-    assert cli._subset_sweep(sets) == frozenset_sweep(sets)
+    assert oracle._subset_sweep(sets) == frozenset_sweep(sets)
 
 
 @pytest.mark.parametrize(
@@ -457,6 +461,27 @@ def test_subset_sweep_equals_the_frozenset_sweep(sets):
     ],
 )
 def test_oracle_check_consults_every_route(monkeypatch, route, lie):
+    # the route's place among the walk's answers, and the module the random
+    # cases read it from
+    index, module = {
+        "sdr_exists": (0, hall), "euler_class": (1, euler), "sdr_count": (2, euler),
+        "_subset_sweep": (3, oracle),
+    }[route]
     assert oracle_check(2, 2, 0, 0)["disagreements"] == 0
-    monkeypatch.setattr(cli, route, lie(getattr(cli, route)))
-    assert oracle_check(2, 2, 0, 0)["disagreements"] == 4 + 16
+    with monkeypatch.context() as patch:
+        patch.setattr(module, route, lie(getattr(module, route)))
+        # the 2 exhaustive cases run on the walk, the 30 random ones per case
+        assert oracle_check(1, 1, 30, 5)["disagreements"] == 30
+    answers = oracle._answers
+
+    def walk_lie(node):
+        out = list(answers(node))
+        out[index] = not out[index]
+        return tuple(out)
+
+    monkeypatch.setattr(oracle, "_answers", walk_lie)
+    doc = oracle_check(2, 2, 0, 0)
+    assert doc["disagreements"] == 4 + 16
+    # the first five in itertools.product order, although the walk is depth first
+    first = ([[]], [[1]], [[2]], [[1, 2]], [[], []])
+    assert doc["counterexamples"] == [{"sets": sets} for sets in first]

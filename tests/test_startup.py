@@ -53,8 +53,17 @@ def fam_file(tmp_path):
     return str(p)
 
 
-# the modules a subcommand must not load; the others load neither
-NOT_LOADED = {"classify": {"dynamics"}, "endo-sim": set()}
+# the modules each subcommand must not load
+DECIDERS = {"classify", "dynamics"}
+ORACLES = {"euler", "oracle", "random"}
+NOT_LOADED = {
+    "analyze": DECIDERS | ORACLES,
+    "nbound": DECIDERS | ORACLES,
+    "euler": DECIDERS | {"oracle", "random"},
+    "oracle-check": DECIDERS,
+    "classify": {"dynamics"} | ORACLES,
+    "endo-sim": ORACLES,
+}
 
 
 @pytest.mark.parametrize(
@@ -72,8 +81,8 @@ NOT_LOADED = {"classify": {"dynamics"}, "endo-sim": set()}
 def test_subcommands_load_only_what_they_run(fam_file, argv):
     modules = loaded(PROBE, *[fam_file if a == "FAM" else a for a in argv])
     assert "dataclasses" not in modules
-    lazy = NOT_LOADED.get(argv[0], {"classify", "dynamics"})
-    assert not lazy & submodules(modules)
+    # random is the standard library's; the others are projclass submodules
+    assert not NOT_LOADED[argv[0]] & (submodules(modules) | {"random"} & modules)
 
 
 def test_every_exported_name_resolves():
