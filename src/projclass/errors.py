@@ -40,4 +40,4 @@ class PatternNotFoundError(ProjclassError):
 
 
 class OracleBoundsError(ProjclassError):
-    """Exhaustive oracle bounds are too large to enumerate."""
+    """An oracle request is too large to run: exhaustive bounds or an Euler product."""

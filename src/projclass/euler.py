@@ -18,10 +18,15 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable, Mapping
 
-from .errors import FamilyFormatError
+from .errors import FamilyFormatError, OracleBoundsError
 from .family import FiniteFamily, IndexSet
 
 ChernVector = dict[int, int]
+
+# euler_class refuses a product whose estimated work (product_work) passes
+# this; n copies of one n-coordinate bundle estimate n * (2^n - 1), which
+# passes it from n = 19 on
+EULER_WORK_CAP = 1 << 23
 
 
 def chern_vector(coords: Mapping[int, int]) -> ChernVector:
@@ -145,10 +150,13 @@ def euler_class(bundles: Iterable[Mapping[int, int]]) -> MultilinearPoly:
     folded over integer bitmasks by times_form, the k-th of the sorted
     coordinates taking the bit 1 << k (never a shift by the coordinate,
     which may be huge).  The fold stops at zero, and the surviving masks are
-    decoded once, at the end.
+    decoded once, at the end.  A product whose product_work passes
+    EULER_WORK_CAP is refused before any multiply.
     """
     vectors = [chern_vector(v) for v in bundles]
     coords = sorted({i for v in vectors for i in v})
+    if product_work(vectors, len(coords)) > EULER_WORK_CAP:
+        raise OracleBoundsError("Euler product too large: its estimated work passes the cap")
     bit = {i: 1 << k for k, i in enumerate(coords)}
     product = {0: 1}
     for v in vectors:
@@ -159,6 +167,23 @@ def euler_class(bundles: Iterable[Mapping[int, int]]) -> MultilinearPoly:
         {frozenset(coords[k] for k in range(m.bit_length()) if m >> k & 1): a
          for m, a in product.items()}
     )
+
+
+def product_work(vectors: list[ChernVector], coords: int) -> int:
+    """An upper bound on the term pairs the fold of vectors multiplies, over coords coordinates.
+
+    After k forms the product has at most min(C(coords, k), |v_1|...|v_k|)
+    terms, and the next fold step pairs each with |v_{k+1}| coefficients.
+    The running product is clamped at 2^coords, which C(coords, k) never
+    passes, and the binomial is updated in place, so each bundle costs a few
+    integer operations however many there are.
+    """
+    work, terms, choose, limit = 0, 1, 1, 1 << coords  # choose = C(coords, k)
+    for k, v in enumerate(vectors):
+        work += min(choose, terms) * len(v)
+        terms = min(terms * len(v), limit)
+        choose = choose * (coords - k) // (k + 1)
+    return work
 
 
 def times_form(product: dict[int, int], form: list[tuple[int, int]]) -> dict[int, int]:

@@ -19,14 +19,41 @@ new row.  A table over all of {1..max_ground} would cost 2^max_ground per
 node.  The sweep inherits the parent's deficient flag, since the parent's
 position subsets are the child's too.
 
-The stack holds one node per depth, and every route answers at every node.
-Random cases run the per-case library routes instead.
+The last layer, all but about one node in 2^max_ground, is decided per
+parent: one read of the parent's state gives each of its 2^max_ground
+leaves every route's exact value, and no leaf node is built.
+- Matching: the parent's matching is maximum, so a leaf with new set M
+  matches one more position exactly when an augmenting path starts at the
+  new position (Berge), that is when M meets the elements from which an
+  alternating path reaches a free element.
+- Euler class: the leaf's product is the parent's times sum of x_i over M,
+  which is the product for M less its lowest element b plus the parent's
+  product times x_b.
+- Permanent, by size classes of the parent's table T over U, u = |U|.  Let
+  the leaf have t rows, k = |M - U| new elements and g' = u + k.  The
+  leaf's table at A + B (A in U, B among the new elements) is
+  T[A] * (|A & M| + |B|), and Ryser's sum weighs a subset of size j by
+  w(j) = (-1)^(t - j) * C(g' - j, g' - t), zero for j > t; the permanent is
+  0 when t > g'.  Summing over the C(k, b) sets B of each size b,
+      perm(M) = sum_a beta_k(a) Z[a] + sum over e in M & U of sum_a alpha_k(a) W[a][e]
+  with Z[a] the sum of T[A] over |A| = a, W[a][e] the same sum over the A
+  that hold e, alpha_k(a) = sum_b C(k, b) w(a + b) and beta_k(a) =
+  sum_b C(k, b) * b * w(a + b).  Per parent that is one constant and one
+  coefficient per element of U for each k, and per leaf one addition to
+  the leaf that lacks one of its old elements.
+- Sweep: a new subset m + {new} is deficient exactly when
+  |m| >= popcount(u_m | M), read from the parent's unions u_m.
+
+The stack holds one node per depth, and every route answers for every case
+through _answers.  Random cases run the per-case library routes instead.
 """
 
 from __future__ import annotations
 
 import random
-from operator import ge
+from functools import lru_cache
+from math import comb
+from operator import ge, mul
 from typing import Iterator, NamedTuple, Sequence
 
 from . import euler, hall
@@ -61,11 +88,11 @@ def oracle_check(max_sets: int, max_ground: int, random_cases: int, seed: int) -
 
     exhaustive = 0
     disagreements: list[tuple[frozenset[int], ...]] = []
-    for node in _walk(max_sets, max_ground):
+    for case in _walk(max_sets, max_ground):
         exhaustive += 1
-        by_matching, by_euler, by_permanent, by_sweep = _answers(node)
+        by_matching, by_euler, by_permanent, by_sweep = _answers(case)
         if not by_matching == by_euler == by_permanent == by_sweep:
-            disagreements.append(node.sets)
+            disagreements.append(case[0])
     # depth first lists each size in product order, but interleaves sizes
     disagreements.sort(key=len)
 
@@ -164,35 +191,174 @@ def _sweep(unions: list[int], deficient: bool, row: int) -> tuple[list[int], boo
     return unions + grown, deficient or any(map(ge, sizes, map(int.bit_count, grown)))
 
 
-def _answers(node: _Node) -> tuple[bool, bool, bool, bool]:
-    """Each route's answer at node: matching, Euler class, permanent, subset sweep."""
-    t = len(node.sets)
-    return (
-        node.matched == t,
-        bool(node.product),
-        euler.ryser_permanent(node.table, t) > 0,
-        not node.deficient,
-    )
+# what the walk reports per ordered family: its sets, and each route's exact
+# value there (matched positions, Euler product, Ryser sum, deficient flag);
+# a plain tuple, since a leaf builds one and nothing else
+Case = tuple[tuple[frozenset[int], ...], int, dict[int, int], int, bool]
 
 
-def _walk(max_sets: int, max_ground: int) -> Iterator[_Node]:
+def _answers(case: Case) -> tuple[bool, bool, bool, bool]:
+    """Each route's answer for one case: matching, Euler class, permanent, subset sweep."""
+    sets, matched, product, permanent, deficient = case
+    return matched == len(sets), bool(product), permanent > 0, not deficient
+
+
+def _case(node: _Node) -> Case:
+    """The case of a built node; its Ryser sum comes from its table."""
+    permanent = euler.ryser_permanent(node.table, len(node.sets))
+    return node.sets, node.matched, node.product, permanent, node.deficient
+
+
+def _walk(max_sets: int, max_ground: int) -> Iterator[Case]:
     """Every ordered family of 1..max_sets subsets of {1..max_ground}, depth first.
 
     Children take the subsets in mask order, so each size comes out in
-    itertools.product order.
+    itertools.product order.  _extend builds the nodes above the last layer;
+    _leaves decides the last layer under each of them.
     """
     pieces = [_piece(mask) for mask in range(1 << max_ground)]
     stack = [(_root(max_ground), iter(pieces))]
     while stack:
         node, children = stack[-1]
+        if len(node.sets) == max_sets - 1:
+            stack.pop()
+            yield from _leaves(node, pieces)
+            continue
         for piece in children:
             child = _extend(node, piece)
-            yield child
-            if len(child.sets) < max_sets:
-                stack.append((child, iter(pieces)))
-                break
+            yield _case(child)
+            stack.append((child, iter(pieces)))
+            break
         else:
             stack.pop()
+
+
+def _leaves(node: _Node, pieces: list) -> Iterator[Case]:
+    """Every child of node, in mask order, from one read of node's state.
+
+    No child is built.  Matching: a child matches one more position exactly
+    when its new set meets reach.  Permanent: one lookup into perms, filled
+    in mask order from the size-class sums of node's table.  Euler class:
+    node's product times each new set's form, by _products.  Sweep: a child
+    with a new set M gains a deficient subset m + {new} exactly when
+    |m| >= popcount(u_m | M); for a node with no deficient subset that
+    means m is tight (popcount(u_m) = |m|) and M lies inside u_m.
+    """
+    sets, matched, deficient, unions = node.sets, node.matched, node.deficient, node.unions
+    reach, union, t = _reach(node.owner, unions), unions[-1], len(sets) + 1
+    const, coeff = _ryser_leaf_terms(node.table, node.local, t, len(node.owner) - 1)
+    sizes = map(int.bit_count, range(len(unions)))
+    tight = [] if deficient else [u for u, size in zip(unions, sizes) if u.bit_count() == size]
+    perms: list[int] = []
+    for (mask, members, _), product in zip(pieces, _products(node.product, len(pieces))):
+        old = mask & union
+        if old:  # mask less one of its old elements has the same k
+            low = old & -old
+            permanent = perms[mask ^ low] + coeff[(mask ^ old).bit_count()][low]
+        else:
+            permanent = const[mask.bit_count()]
+        perms.append(permanent)
+        yield (
+            sets + (members,),
+            matched + (mask & reach != 0),
+            product,
+            permanent,
+            deficient or any(mask | u == u for u in tight),
+        )
+
+
+def _products(product: dict[int, int], count: int) -> list[dict[int, int]]:
+    """product times the form sum of x_i over M, for each mask M below count.
+
+    Subset recurrence: the product for M is the one for M less its lowest
+    bit b, plus product * x_b, the terms of product that miss b, moved by b.
+    """
+    out: list[dict[int, int]] = [{}]
+    by_bit = {}
+    for mask in range(1, count):
+        low = mask & -mask
+        if low == mask:
+            by_bit[low] = {m | low: a for m, a in product.items() if not m & low}
+            out.append(by_bit[low])
+            continue
+        total = dict(out[mask ^ low])
+        for m, a in by_bit[low].items():
+            c = total.get(m, 0) + a
+            if c:
+                total[m] = c
+            else:
+                del total[m]
+        out.append(total)
+    return out
+
+
+def _reach(owner: list[int | None], unions: list[int]) -> int:
+    """The elements, element i as bit i - 1, from which an alternating path reaches a free one.
+
+    A free element reaches itself; a matched one reaches when its owner's
+    set (unions[1 << owner]) holds another element that does (Berge).  The
+    matching is maximum, so a new position gains a partner exactly when its
+    set meets this mask.
+    """
+    held = [(1 << (e - 1), unions[1 << p]) for e, p in enumerate(owner) if p is not None]
+    reach = (1 << (len(owner) - 1)) - 1 - sum(bit for bit, _ in held)
+    grew = True
+    while grew:
+        grew = False
+        for bit, row in held:
+            if not reach & bit and row & reach:
+                reach |= bit
+                grew = True
+    return reach
+
+
+def _ryser_leaf_terms(
+    table: list[int], local: dict[int, int], t: int, max_ground: int
+) -> tuple[list[int], list[dict[int, int]]]:
+    """The Ryser sum of every child with t rows, as const[k] plus coeff[k] over its old elements.
+
+    k is the number of elements the child's new set M adds to the union U;
+    coeff[k] maps the ground bit of each element of U to its coefficient.
+    The child's permanent is const[k] plus coeff[k][e] for each e in M & U.
+    See the module docstring for the derivation.
+    """
+    u = len(local)
+    if t > max_ground:  # more rows than any child's union has elements
+        zero = dict.fromkeys((1 << (e - 1) for e in local), 0)
+        return [0] * (max_ground - u + 1), [zero] * (max_ground - u + 1)
+    size_sum = [0] * (u + 1)  # Z[a]
+    holding = {b: [0] * (u + 1) for b in local.values()}  # W[a][e], keyed by e's table bit
+    for s, p in enumerate(table):
+        if p:
+            a = s.bit_count()
+            size_sum[a] += p
+            while s:
+                low = s & -s
+                holding[low][a] += p
+                s ^= low
+    ground_bit = {b: 1 << (e - 1) for e, b in local.items()}
+    const, coeff = [], []
+    for k in range(max_ground - u + 1):
+        alpha, beta = _ryser_weights(u, k, t)
+        const.append(sum(map(mul, beta, size_sum)))
+        coeff.append({ground_bit[b]: sum(map(mul, alpha, w)) for b, w in holding.items()})
+    return const, coeff
+
+
+@lru_cache(maxsize=None)
+def _ryser_weights(u: int, k: int, t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """alpha_k(a) and beta_k(a) for a = 0..u, for t rows over u + k elements.
+
+    Cached: u + k is at most max_ground and t at most max_sets, so the
+    bounds oracle_check accepts give a few hundred distinct arguments.
+    """
+    g = u + k
+    if t > g:
+        return (0,) * (u + 1), (0,) * (u + 1)
+    w = [(-1) ** (t - j) * comb(g - j, g - t) for j in range(t + 1)] + [0] * (g - t)
+    alpha = tuple(sum(comb(k, b) * w[a + b] for b in range(k + 1)) for a in range(u + 1))
+    beta = tuple(sum(comb(k, b) * b * w[a + b] for b in range(k + 1)) for a in range(u + 1))
+    return alpha, beta
 
 
 def _four_way_agree(sets: tuple[frozenset[int], ...]) -> bool:

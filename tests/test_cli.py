@@ -410,6 +410,17 @@ def test_oracle_check_accepts_the_benchmark_and_readme_bounds(monkeypatch):
         assert oracle_check(*bounds)["disagreements"] == 0
 
 
+def test_euler_refuses_work_past_the_cap_without_multiplying(capsys, monkeypatch):
+    # 20 copies of one 20-coordinate bundle estimate 20 * (2^20 - 1) pairs;
+    # any multiply would fail
+    monkeypatch.setattr(euler, "times_form", None)
+    assert main(["euler", "--bundles", json.dumps([list(range(1, 21))] * 20)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: Euler product too large: its estimated work passes the cap\n"
+    assert euler.product_work([{i: 1 for i in range(1, 19)}] * 18, 18) <= euler.EULER_WORK_CAP
+
+
 @pytest.mark.parametrize(
     "error, message",
     [

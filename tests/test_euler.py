@@ -10,8 +10,10 @@ from projclass.euler import (
     chern_vector,
     euler_class,
     indicator_vector,
+    product_work,
     sdr_count,
     tensor_line_bundles,
+    times_form,
 )
 from projclass.errors import FamilyFormatError
 from projclass.family import FiniteFamily
@@ -187,3 +189,24 @@ def test_euler_class_validates_bundles_after_the_product_vanished():
         euler_class([{1: 1}, {1: 1}, {0: 1}])
     with pytest.raises(FamilyFormatError):
         euler_class([{1: 1}, {1: 1}, {2: True}])
+
+
+@settings(max_examples=300, deadline=None)
+@given(vs=signed_bundles)
+def test_product_work_bounds_the_pairs_the_fold_multiplies(vs):
+    vectors = [chern_vector(v) for v in vs]
+    coords = sorted({i for v in vectors for i in v})
+    bit = {i: 1 << k for k, i in enumerate(coords)}
+    product, pairs = {0: 1}, 0
+    for v in vectors:
+        pairs += len(product) * len(v)
+        product = times_form(product, [(bit[i], c) for i, c in v.items()])
+    assert pairs <= product_work(vectors, len(coords))
+
+
+def test_product_work_of_n_copies_of_one_n_coordinate_bundle():
+    for n in (16, 18, 20):
+        # every subset of the n coordinates is a term at some step
+        assert product_work([indicator_vector(range(1, n + 1))] * n, n) == n * (2**n - 1)
+    # many bundles over few coordinates: the clamp keeps the running product small
+    assert product_work([{1: 1, 2: 1}] * 10_000, 2) == 2 + 2 * 2 + 1 * 2
