@@ -238,19 +238,24 @@ def ryser_extend(table: list[int], bit: dict[int, int], row: Iterable[int]) -> l
 
 
 def ryser_permanent(table: list[int], t: int) -> int:
-    """The permanent of t rows from their table over a ground of size g.
+    """The permanent of t rows from their table, by its sums over subsets of each size."""
+    by_size = [0] * len(table).bit_length()
+    for s, p in enumerate(table):
+        if p:
+            by_size[s.bit_count()] += p
+    return ryser_by_size(by_size, t)
 
-    For t <= g, rectangular inclusion-exclusion over ground subsets S:
+
+def ryser_by_size(by_size: list[int], t: int) -> int:
+    """The permanent of t rows from by_size[k], their table summed over subsets of size k.
+
+    by_size runs over k = 0..g for a ground of size g.  For t <= g, rectangular inclusion-exclusion over ground subsets S:
 
         per = sum over S of (-1)^(t - |S|) * C(g - |S|, g - t) * table[S]
 
     The binomial vanishes for |S| > t.  Exact over Python integers.
     """
-    g = len(table).bit_length() - 1
+    g = len(by_size) - 1
     if t > g:
         return 0
-    by_size = [0] * (g + 1)
-    for s, p in enumerate(table):
-        if p:
-            by_size[s.bit_count()] += p
     return sum((-1) ** (t - k) * comb(g - k, g - t) * by_size[k] for k in range(t + 1))

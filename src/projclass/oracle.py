@@ -26,21 +26,9 @@ leaves every route's exact value, and no leaf node is built.
   matches one more position exactly when an augmenting path starts at the
   new position (Berge), that is when M meets the elements from which an
   alternating path reaches a free element.
-- Euler class: the leaf's product is the parent's times sum of x_i over M,
-  which is the product for M less its lowest element b plus the parent's
-  product times x_b.
-- Permanent, by size classes of the parent's table T over U, u = |U|.  Let
-  the leaf have t rows, k = |M - U| new elements and g' = u + k.  The
-  leaf's table at A + B (A in U, B among the new elements) is
-  T[A] * (|A & M| + |B|), and Ryser's sum weighs a subset of size j by
-  w(j) = (-1)^(t - j) * C(g' - j, g' - t), zero for j > t; the permanent is
-  0 when t > g'.  Summing over the C(k, b) sets B of each size b,
-      perm(M) = sum_a beta_k(a) Z[a] + sum over e in M & U of sum_a alpha_k(a) W[a][e]
-  with Z[a] the sum of T[A] over |A| = a, W[a][e] the same sum over the A
-  that hold e, alpha_k(a) = sum_b C(k, b) w(a + b) and beta_k(a) =
-  sum_b C(k, b) * b * w(a + b).  Per parent that is one constant and one
-  coefficient per element of U for each k, and per leaf one addition to
-  the leaf that lacks one of its old elements.
+- Euler class: the parent's product times the leaf's form, as in _extend.
+- Permanent, by expanding along the new row M: a leaf's representative
+  systems are the parent's plus one element of M that they avoid.
 - Sweep: a new subset m + {new} is deficient exactly when
   |m| >= popcount(u_m | M), read from the parent's unions u_m.
 
@@ -51,9 +39,7 @@ through _answers.  Random cases run the per-case library routes instead.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
-from math import comb
-from operator import ge, mul
+from operator import ge, sub
 from typing import Iterator, NamedTuple, Sequence
 
 from . import euler, hall
@@ -237,59 +223,28 @@ def _leaves(node: _Node, pieces: list) -> Iterator[Case]:
     """Every child of node, in mask order, from one read of node's state.
 
     No child is built.  Matching: a child matches one more position exactly
-    when its new set meets reach.  Permanent: one lookup into perms, filled
-    in mask order from the size-class sums of node's table.  Euler class:
-    node's product times each new set's form, by _products.  Sweep: a child
-    with a new set M gains a deficient subset m + {new} exactly when
-    |m| >= popcount(u_m | M); for a node with no deficient subset that
-    means m is tight (popcount(u_m) = |m|) and M lies inside u_m.
+    when its new set meets reach.  Euler class: node's product times the new
+    set's form.  Permanent: the sum over the new set of _avoiding, filled in
+    mask order.  Sweep: a child with a new set M gains a deficient subset
+    m + {new} exactly when |m| >= popcount(u_m | M); for a node with no
+    deficient subset that means m is tight (popcount(u_m) = |m|) and M lies
+    inside u_m.
     """
     sets, matched, deficient, unions = node.sets, node.matched, node.deficient, node.unions
-    reach, union, t = _reach(node.owner, unions), unions[-1], len(sets) + 1
-    const, coeff = _ryser_leaf_terms(node.table, node.local, t, len(node.owner) - 1)
+    reach, avoid = _reach(node.owner, unions), _avoiding(node)
     sizes = map(int.bit_count, range(len(unions)))
     tight = [] if deficient else [u for u, size in zip(unions, sizes) if u.bit_count() == size]
-    perms: list[int] = []
-    for (mask, members, _), product in zip(pieces, _products(node.product, len(pieces))):
-        old = mask & union
-        if old:  # mask less one of its old elements has the same k
-            low = old & -old
-            permanent = perms[mask ^ low] + coeff[(mask ^ old).bit_count()][low]
-        else:
-            permanent = const[mask.bit_count()]
-        perms.append(permanent)
+    perms = [0]
+    for mask in range(1, len(pieces)):  # mask less its lowest bit, plus that bit
+        perms.append(perms[mask & (mask - 1)] + avoid[mask & -mask])
+    for (mask, members, form), permanent in zip(pieces, perms):
         yield (
             sets + (members,),
             matched + (mask & reach != 0),
-            product,
+            euler.times_form(node.product, form),
             permanent,
             deficient or any(mask | u == u for u in tight),
         )
-
-
-def _products(product: dict[int, int], count: int) -> list[dict[int, int]]:
-    """product times the form sum of x_i over M, for each mask M below count.
-
-    Subset recurrence: the product for M is the one for M less its lowest
-    bit b, plus product * x_b, the terms of product that miss b, moved by b.
-    """
-    out: list[dict[int, int]] = [{}]
-    by_bit = {}
-    for mask in range(1, count):
-        low = mask & -mask
-        if low == mask:
-            by_bit[low] = {m | low: a for m, a in product.items() if not m & low}
-            out.append(by_bit[low])
-            continue
-        total = dict(out[mask ^ low])
-        for m, a in by_bit[low].items():
-            c = total.get(m, 0) + a
-            if c:
-                total[m] = c
-            else:
-                del total[m]
-        out.append(total)
-    return out
 
 
 def _reach(owner: list[int | None], unions: list[int]) -> int:
@@ -312,23 +267,17 @@ def _reach(owner: list[int | None], unions: list[int]) -> int:
     return reach
 
 
-def _ryser_leaf_terms(
-    table: list[int], local: dict[int, int], t: int, max_ground: int
-) -> tuple[list[int], list[dict[int, int]]]:
-    """The Ryser sum of every child with t rows, as const[k] plus coeff[k] over its old elements.
+def _avoiding(node: _Node) -> dict[int, int]:
+    """node's representative systems that avoid e, for each ground element e as its bit.
 
-    k is the number of elements the child's new set M adds to the union U;
-    coeff[k] maps the ground bit of each element of U to its coefficient.
-    The child's permanent is const[k] plus coeff[k][e] for each e in M & U.
-    See the module docstring for the derivation.
+    Outside node's union U that is all of them.  For e in U it is Ryser's
+    sum over U - {e}, whose table is node's at the subsets that miss e; by
+    size, the sums over all subsets less those over the ones that hold e.
     """
-    u = len(local)
-    if t > max_ground:  # more rows than any child's union has elements
-        zero = dict.fromkeys((1 << (e - 1) for e in local), 0)
-        return [0] * (max_ground - u + 1), [zero] * (max_ground - u + 1)
-    size_sum = [0] * (u + 1)  # Z[a]
-    holding = {b: [0] * (u + 1) for b in local.values()}  # W[a][e], keyed by e's table bit
-    for s, p in enumerate(table):
+    t, u = len(node.sets), len(node.local)
+    size_sum = [0] * (u + 1)
+    holding = {b: [0] * (u + 1) for b in node.local.values()}  # keyed by e's table bit
+    for s, p in enumerate(node.table):
         if p:
             a = s.bit_count()
             size_sum[a] += p
@@ -336,29 +285,11 @@ def _ryser_leaf_terms(
                 low = s & -s
                 holding[low][a] += p
                 s ^= low
-    ground_bit = {b: 1 << (e - 1) for e, b in local.items()}
-    const, coeff = [], []
-    for k in range(max_ground - u + 1):
-        alpha, beta = _ryser_weights(u, k, t)
-        const.append(sum(map(mul, beta, size_sum)))
-        coeff.append({ground_bit[b]: sum(map(mul, alpha, w)) for b, w in holding.items()})
-    return const, coeff
-
-
-@lru_cache(maxsize=None)
-def _ryser_weights(u: int, k: int, t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """alpha_k(a) and beta_k(a) for a = 0..u, for t rows over u + k elements.
-
-    Cached: u + k is at most max_ground and t at most max_sets, so the
-    bounds oracle_check accepts give a few hundred distinct arguments.
-    """
-    g = u + k
-    if t > g:
-        return (0,) * (u + 1), (0,) * (u + 1)
-    w = [(-1) ** (t - j) * comb(g - j, g - t) for j in range(t + 1)] + [0] * (g - t)
-    alpha = tuple(sum(comb(k, b) * w[a + b] for b in range(k + 1)) for a in range(u + 1))
-    beta = tuple(sum(comb(k, b) * b * w[a + b] for b in range(k + 1)) for a in range(u + 1))
-    return alpha, beta
+    everyone = euler.ryser_by_size(size_sum, t)
+    avoid = {1 << i: everyone for i in range(len(node.owner) - 1)}
+    for e, b in node.local.items():  # the full set U holds e: drop size u
+        avoid[1 << (e - 1)] = euler.ryser_by_size(list(map(sub, size_sum[:u], holding[b])), t)
+    return avoid
 
 
 def _four_way_agree(sets: tuple[frozenset[int], ...]) -> bool:

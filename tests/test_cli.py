@@ -421,6 +421,16 @@ def test_euler_refuses_work_past_the_cap_without_multiplying(capsys, monkeypatch
     assert euler.product_work([{i: 1 for i in range(1, 19)}] * 18, 18) <= euler.EULER_WORK_CAP
 
 
+def test_euler_refuses_a_product_that_would_vanish_early(monkeypatch):
+    # [1] twice makes the product zero, and the fold would stop there, but
+    # the estimate counts the 20 copies of [1..20] after it
+    monkeypatch.setattr(euler, "times_form", None)
+    bundles = [{1: 1}] * 2 + [{i: 1 for i in range(1, 21)}] * 20
+    assert euler.product_work(bundles, 20) > euler.EULER_WORK_CAP
+    with pytest.raises(OracleBoundsError, match="estimated work passes the cap"):
+        euler.euler_class(bundles)
+
+
 @pytest.mark.parametrize(
     "error, message",
     [
