@@ -209,32 +209,25 @@ def sdr_count(fam: FiniteFamily) -> int:
     """Number of systems of distinct representatives, exactly.
 
     This is the permanent of the position-by-ground incidence matrix, by
-    Ryser's formula over the union of the sets.  Its table of at most
-    2^|ground| products is built one set at a time.
+    Ryser's formula over the union of the sets, whose k-th sorted element
+    is bit 1 << k.  Its table of 2^|ground| products is built one set at a time.
     """
     if len(fam.sets) > len(fam.ground):
         return 0
-    bit: dict[int, int] = {}
-    table = [1]
+    bit = {e: 1 << k for k, e in enumerate(sorted(fam.ground))}
+    table = [1] * (1 << len(bit))
     for s in fam.sets:
-        table = ryser_extend(table, bit, s)
+        table = ryser_extend(table, sum(bit[e] for e in s))
     return ryser_permanent(table, len(fam.sets))
 
 
-def ryser_extend(table: list[int], bit: dict[int, int], row: Iterable[int]) -> list[int]:
-    """Ryser's table after one more row; elements new to bit take the next bits.
+def ryser_extend(table: list[int], row_mask: int) -> list[int]:
+    """Ryser's table after one more row, given as a mask of the ground's bits.
 
     table[S] is prod_j |I_j intersect S| over the rows so far, for every
-    subset S of their union, as a mask of their bits.  Old rows miss the new
-    elements, so their product at S plus new elements is the one at S: the
-    table is replicated once per subset of the new elements, and then one
-    multiply per subset adds the row.
+    subset S of the ground as a mask.
     """
-    fresh = [e for e in row if e not in bit]
-    for e in fresh:
-        bit[e] = 1 << len(bit)
-    mask = sum(bit[e] for e in row)
-    return [p * (s & mask).bit_count() for s, p in enumerate(table * (1 << len(fresh)))]
+    return [p * (s & row_mask).bit_count() for s, p in enumerate(table)]
 
 
 def ryser_permanent(table: list[int], t: int) -> int:

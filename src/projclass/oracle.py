@@ -6,31 +6,21 @@ Combinatorial Mathematics, 1963) and by a sweep over the subsets of
 positions, and counts the families where the answers differ.
 
 The exhaustive part walks the product tree depth first: the node at depth d
-is one ordered family of d sets, and each route extends its parent's state
-by the node's one new set.  Matching augments from the new position only,
-the one unmatched position that can start an augmenting path.  It is not
-hall.max_matching, because it is incremental and it checks Hopcroft-Karp.
-The Euler class multiplies the parent's product by one linear form.  The
-permanent keeps Ryser's products over the subsets of the prefix's own union
-U.  Replication lemma: the earlier sets miss the k elements that the new set
-adds to U, so their products at S plus any of those elements are the ones
-at S; the table is copied 2^k times and one multiply per subset adds the
-new row.  A table over all of {1..max_ground} would cost 2^max_ground per
-node.  The sweep inherits the parent's deficient flag, since the parent's
-position subsets are the child's too.
-
-The last layer, all but about one node in 2^max_ground, is decided per
-parent: one read of the parent's state gives each of its 2^max_ground
-leaves every route's exact value, and no leaf node is built.
-- Matching: the parent's matching is maximum, so a leaf with new set M
-  matches one more position exactly when an augmenting path starts at the
-  new position (Berge), that is when M meets the elements from which an
-  alternating path reaches a free element.
-- Euler class: the parent's product times the leaf's form, as in _extend.
-- Permanent, by expanding along the new row M: a leaf's representative
-  systems are the parent's plus one element of M that they avoid.
+is one ordered family of d sets with each route's state for it, element i
+as bit i - 1.  Every family is answered from one read of its parent's state
+(_children); a node is built (_extend) only to descend into it.
+- Matching: the parent's matching is maximum, so a child with new set M
+  matches one more position exactly when M meets the elements from which an
+  alternating path reaches a free one (Berge).  _extend augments from the
+  new position only; it is not hall.max_matching, which it checks.
+- Euler class: the parent's product times the child's linear form.
+- Permanent: a node keeps Ryser's products over the 2^max_ground subsets of
+  the ground, and _extend multiplies each by the new row's count.  Expanding
+  along the new row M, a child's representative systems are the parent's
+  plus one element of M that they avoid.
 - Sweep: a new subset m + {new} is deficient exactly when
-  |m| >= popcount(u_m | M), read from the parent's unions u_m.
+  |m| >= popcount(u_m | M), read from the parent's unions u_m; the parent's
+  deficient subsets are the child's too.
 
 The stack holds one node per depth, and every route answers for every case
 through _answers.  Random cases run the per-case library routes instead.
@@ -39,6 +29,7 @@ through _answers.  Random cases run the per-case library routes instead.
 from __future__ import annotations
 
 import random
+from functools import partial
 from operator import ge, sub
 from typing import Iterator, NamedTuple, Sequence
 
@@ -46,8 +37,8 @@ from . import euler, hall
 from .errors import OracleBoundsError
 from .family import FiniteFamily
 
-# oracle-check refuses when its cases times 2 ** max_ground, the subsets the
-# permanent route may sweep per case, pass this
+# oracle-check refuses when its cases times 2 ** max_ground, the products in
+# one Ryser table, pass this
 ORACLE_WORK_CAP = 1 << 24
 
 
@@ -112,8 +103,7 @@ class _Node(NamedTuple):
     owner: list[int | None]  # the position matched to each ground element
     matched: int
     product: dict[int, int]  # element i is bit i - 1
-    local: dict[int, int]  # the bit in table of each element of the union
-    table: list[int]
+    table: list[int]  # Ryser's products at each subset of the ground
     unions: list[int]  # the union of each subset of positions, element i as bit i - 1
     deficient: bool
 
@@ -125,18 +115,17 @@ def _piece(mask: int) -> tuple[int, frozenset[int], list[tuple[int, int]]]:
 
 
 def _root(max_ground: int) -> _Node:
-    return _Node((), [None] * (max_ground + 1), 0, {0: 1}, {}, [1], [0], False)
+    return _Node((), [None] * (max_ground + 1), 0, {0: 1}, [1] * (1 << max_ground), [0], False)
 
 
 def _extend(node: _Node, piece: tuple) -> _Node:
     """The child of node whose new set is piece; each route extends its own state."""
     mask, members, form = piece
-    sets, owner, local = node.sets + (members,), node.owner[:], dict(node.local)
+    sets, owner = node.sets + (members,), node.owner[:]
     matched = node.matched + _augment(sets, owner, len(node.sets))
-    table = euler.ryser_extend(node.table, local, members)
     unions, deficient = _sweep(node.unions, node.deficient, mask)
-    product = euler.times_form(node.product, form)
-    return _Node(sets, owner, matched, product, local, table, unions, deficient)
+    product, table = euler.times_form(node.product, form), euler.ryser_extend(node.table, mask)
+    return _Node(sets, owner, matched, product, table, unions, deficient)
 
 
 def _augment(sets: Sequence[frozenset[int]], owner: list[int | None], new: int) -> bool:
@@ -179,7 +168,7 @@ def _sweep(unions: list[int], deficient: bool, row: int) -> tuple[list[int], boo
 
 # what the walk reports per ordered family: its sets, and each route's exact
 # value there (matched positions, Euler product, Ryser sum, deficient flag);
-# a plain tuple, since a leaf builds one and nothing else
+# a plain tuple, since _children builds one per case and nothing else
 Case = tuple[tuple[frozenset[int], ...], int, dict[int, int], int, bool]
 
 
@@ -189,46 +178,31 @@ def _answers(case: Case) -> tuple[bool, bool, bool, bool]:
     return matched == len(sets), bool(product), permanent > 0, not deficient
 
 
-def _case(node: _Node) -> Case:
-    """The case of a built node; its Ryser sum comes from its table."""
-    permanent = euler.ryser_permanent(node.table, len(node.sets))
-    return node.sets, node.matched, node.product, permanent, node.deficient
-
-
 def _walk(max_sets: int, max_ground: int) -> Iterator[Case]:
     """Every ordered family of 1..max_sets subsets of {1..max_ground}, depth first.
 
-    Children take the subsets in mask order, so each size comes out in
-    itertools.product order.  _extend builds the nodes above the last layer;
-    _leaves decides the last layer under each of them.
+    Each node, the root included, yields its children in mask order, so each
+    size comes out in itertools.product order.  The stack holds, per depth,
+    the lazy _extend of one parent's children.
     """
     pieces = [_piece(mask) for mask in range(1 << max_ground)]
-    stack = [(_root(max_ground), iter(pieces))]
+    stack = [iter([_root(max_ground)])]
     while stack:
-        node, children = stack[-1]
-        if len(node.sets) == max_sets - 1:
+        node = next(stack[-1], None)
+        if node is None:
             stack.pop()
-            yield from _leaves(node, pieces)
             continue
-        for piece in children:
-            child = _extend(node, piece)
-            yield _case(child)
-            stack.append((child, iter(pieces)))
-            break
-        else:
-            stack.pop()
+        yield from _children(node, pieces)
+        if len(node.sets) < max_sets - 1:
+            stack.append(map(partial(_extend, node), pieces))
 
 
-def _leaves(node: _Node, pieces: list) -> Iterator[Case]:
+def _children(node: _Node, pieces: list) -> Iterator[Case]:
     """Every child of node, in mask order, from one read of node's state.
 
-    No child is built.  Matching: a child matches one more position exactly
-    when its new set meets reach.  Euler class: node's product times the new
-    set's form.  Permanent: the sum over the new set of _avoiding, filled in
-    mask order.  Sweep: a child with a new set M gains a deficient subset
-    m + {new} exactly when |m| >= popcount(u_m | M); for a node with no
-    deficient subset that means m is tight (popcount(u_m) = |m|) and M lies
-    inside u_m.
+    No child is built; each route follows the module docstring.  For a node
+    with no deficient subset, m + {new} is deficient exactly when m is tight
+    (popcount(u_m) = |m|) and the new set lies inside u_m.
     """
     sets, matched, deficient, unions = node.sets, node.matched, node.deficient, node.unions
     reach, avoid = _reach(node.owner, unions), _avoiding(node)
@@ -270,13 +244,13 @@ def _reach(owner: list[int | None], unions: list[int]) -> int:
 def _avoiding(node: _Node) -> dict[int, int]:
     """node's representative systems that avoid e, for each ground element e as its bit.
 
-    Outside node's union U that is all of them.  For e in U it is Ryser's
-    sum over U - {e}, whose table is node's at the subsets that miss e; by
-    size, the sums over all subsets less those over the ones that hold e.
+    That is Ryser's sum over the ground less e, whose table is node's at the
+    subsets that miss e; by size, the sums over all subsets less those over
+    the ones that hold e.
     """
-    t, u = len(node.sets), len(node.local)
-    size_sum = [0] * (u + 1)
-    holding = {b: [0] * (u + 1) for b in node.local.values()}  # keyed by e's table bit
+    t, g = len(node.sets), len(node.owner) - 1
+    size_sum = [0] * (g + 1)
+    holding = {1 << i: [0] * (g + 1) for i in range(g)}
     for s, p in enumerate(node.table):
         if p:
             a = s.bit_count()
@@ -285,11 +259,8 @@ def _avoiding(node: _Node) -> dict[int, int]:
                 low = s & -s
                 holding[low][a] += p
                 s ^= low
-    everyone = euler.ryser_by_size(size_sum, t)
-    avoid = {1 << i: everyone for i in range(len(node.owner) - 1)}
-    for e, b in node.local.items():  # the full set U holds e: drop size u
-        avoid[1 << (e - 1)] = euler.ryser_by_size(list(map(sub, size_sum[:u], holding[b])), t)
-    return avoid
+    # no subset that misses e has all g elements: drop size g
+    return {b: euler.ryser_by_size(list(map(sub, size_sum[:g], h)), t) for b, h in holding.items()}
 
 
 def _four_way_agree(sets: tuple[frozenset[int], ...]) -> bool:

@@ -100,7 +100,13 @@ def test_euler_is_multiplicative_over_concatenation(a, b):
     assert whole == parts
 
 
-@given(sets=families)
+@given(
+    sets=st.lists(
+        # huge identifiers pin the sorted-ground bit coding
+        st.frozensets(st.integers(1, 6) | st.sampled_from([2**64 + 3, 2**70]), max_size=4),
+        max_size=5,
+    ).map(tuple)
+)
 def test_sdr_count_matches_backtracking(sets):
     assert sdr_count(FiniteFamily(sets)) == brute_sdr_count(sets)
 

@@ -1,10 +1,13 @@
 """The oracle's tree walk against the per-case library routes, case by case.
 
-Where a walk step shares code with its per-case route (the Euler fold step,
-Ryser's table and the subset sweep), the case is also held to a reference
-that shares none: the product of linear forms under MultilinearPoly.__mul__,
-the backtracking representative count and the brute-force surplus.  The leaf
-step (_leaves) is held to _extend, value for value, at every parent.
+Every case the walk reports comes from _children, one read of its parent's
+state, so every child of every parent tried here is held to the library
+routes.  Where a walk step shares code with its per-case route (the Euler
+fold step, Ryser's table and the subset sweep), the case is also held to a
+reference that shares none: the product of linear forms under
+MultilinearPoly.__mul__, the backtracking representative count and the
+brute-force surplus.  _extend builds the parents, so its state is checked
+through their children.
 """
 
 import itertools
@@ -41,15 +44,14 @@ def node_of(max_ground, sets):
     return node
 
 
-def assert_leaves_equal_extend(node, max_ground):
-    """Every leaf under node equals the case of the child _extend builds, and the routes."""
+def assert_children_agree(node, max_ground):
+    """Every child _children yields under node, in mask order, against the routes."""
     pieces = [oracle._piece(mask) for mask in range(1 << max_ground)]
-    leaves = list(oracle._leaves(node, pieces))
-    assert len(leaves) == len(pieces)
-    for piece, leaf in zip(pieces, leaves):
-        assert leaf == oracle._case(oracle._extend(node, piece))
-        assert_case_agrees(leaf)
-    return leaves
+    children = list(oracle._children(node, pieces))
+    assert [case[0] for case in children] == [node.sets + (piece[1],) for piece in pieces]
+    for case in children:
+        assert_case_agrees(case)
+    return children
 
 
 @pytest.mark.parametrize("max_sets, max_ground", [(3, 3), (2, 4)])
@@ -68,30 +70,17 @@ def test_walk_equals_the_per_case_routes_at_every_node(max_sets, max_ground):
     )
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.integers(1, 6).flatmap(
-        lambda g: st.tuples(st.just(g), st.lists(st.integers(0, 2**g - 1), max_size=7))
-    )
-)
-def test_walk_steps_equal_the_per_case_routes(case):
-    max_ground, masks = case
-    node = oracle._root(max_ground)
-    for mask in masks:
-        node = oracle._extend(node, oracle._piece(mask))
-        assert_case_agrees(oracle._case(node))
-
-
 @pytest.mark.parametrize("max_sets, max_ground", [(3, 3), (2, 4), (1, 5), (2, 6)])
 def test_leaves_equal_extend_under_every_parent(max_sets, max_ground):
+    """The walk's cases of each size are the children of the parents _extend builds."""
     pieces = [oracle._piece(mask) for mask in range(1 << max_ground)]
     parents = [oracle._root(max_ground)]
-    for _ in range(max_sets - 1):
+    walked = list(oracle._walk(max_sets, max_ground))
+    for size in range(1, max_sets + 1):
+        children = [case for node in parents for case in assert_children_agree(node, max_ground)]
+        # in the same order
+        assert [case for case in walked if len(case[0]) == size] == children
         parents = [oracle._extend(node, piece) for node in parents for piece in pieces]
-    walked = [case for case in oracle._walk(max_sets, max_ground) if len(case[0]) == max_sets]
-    leaves = [leaf for node in parents for leaf in assert_leaves_equal_extend(node, max_ground)]
-    # the walk's last layer is exactly these leaves, in the same order
-    assert walked == leaves
 
 
 @settings(max_examples=150, deadline=None)
@@ -101,29 +90,36 @@ def test_leaves_equal_extend_under_every_parent(max_sets, max_ground):
     )
 )
 def test_leaves_equal_extend_under_random_parents(case):
+    # every prefix of up to 6 sets is a parent, so its children reach 7 sets
     max_ground, masks = case
     node = oracle._root(max_ground)
+    assert_children_agree(node, max_ground)
     for mask in masks:
         node = oracle._extend(node, oracle._piece(mask))
-    assert_leaves_equal_extend(node, max_ground)
+        assert_children_agree(node, max_ground)
 
 
 def test_leaf_edges():
+    # the root's children: one set M has |M| representatives, and only the
+    # empty set is deficient
+    leaves = assert_children_agree(oracle._root(3), 3)
+    assert [leaf[3] for leaf in leaves] == [mask.bit_count() for mask in range(8)]
+    assert [leaf[4] for leaf in leaves] == [True] + [False] * 7
     # M empty: no representative, no product, a deficient singleton
-    leaves = assert_leaves_equal_extend(node_of(3, [{1}, {2}]), 3)
+    leaves = assert_children_agree(node_of(3, [{1}, {2}]), 3)
     assert leaves[0] == (({1}, {2}, frozenset()), 2, {}, 0, True)
-    # t > g': three rows over the two elements of {1} | {2} | {1, 2}
+    # three rows {1}, {2}, {1, 2} over two elements
     assert leaves[0b011][3] == 0 and leaves[0b011][1] == 2
-    # a new element outside the union: k = 1, g' = t = 3
+    # a new element outside the parent's union
     assert leaves[0b100][1:4] == (3, {0b111: 1}, 1)
     # a parent that is not fully matched, so deficient: every leaf is too
     node = node_of(4, [{1}, {1}, {2, 3}])
     assert node.matched == 2 and node.deficient
-    leaves = assert_leaves_equal_extend(node, 4)
+    leaves = assert_children_agree(node, 4)
     assert all(leaf[4] and leaf[3] == 0 and not leaf[2] for leaf in leaves)
     assert [leaf[1] for leaf in leaves] == [2 + bool(mask & 0b1110) for mask in range(16)]
     # alternating paths: element 2 or 3, whichever the second set holds,
     # can pass it on to the other, but element 1 cannot move
-    leaves = assert_leaves_equal_extend(node_of(3, [{1}, {2, 3}]), 3)
+    leaves = assert_children_agree(node_of(3, [{1}, {2, 3}]), 3)
     assert [leaf[1] for leaf in leaves] == [2 + bool(mask & 0b110) for mask in range(8)]
     assert [leaf[3] for leaf in leaves] == [0, 0, 1, 1, 1, 1, 2, 2]
