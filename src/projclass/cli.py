@@ -282,6 +282,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except AssertionError as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 1
+    except OverflowError:
+        # a requested count or multiplicity sized a range or tuple past ssize_t
+        print("error: a requested size does not fit in a machine integer", file=sys.stderr)
+        return 2
     except MemoryError:
         return _out_of_memory()
     except RecursionError:

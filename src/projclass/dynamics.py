@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .classify import find_tight_set
 from .errors import HallViolationError, WindowTooLargeError
 from .family import FiniteFamily, ProjectionFamily, reindex_to_odd, window
-from .hall import max_surplus, sdr_exists
+from .hall import augment, max_surplus, sdr_exists
 
 DEFAULT_ENTRY_CAP = 10_000
 
@@ -209,15 +209,15 @@ def _ordered_matching(candidates: list[Callable[[], Iterable[int]]]) -> list[int
     candidates[s]() yields source s's candidates in preference order; it is
     called afresh whenever s is visited, so the lists can be built lazily
     and only as far as they are read.  First pass hands every source its
-    first still-free candidate; stuck sources then augment along alternating
-    paths, again in candidate order.  Returns None when no perfect matching
-    exists.  hall.max_matching is not used here: its first breadth-first
-    phase reads every candidate, while this reads and interns them lazily.
-    Handing each layer to it took endo-sim padded, depth 1, window 4, prefix
-    200 from 24 ms to 354 ms in-process (2 vCPUs), with the same output.
+    first still-free candidate; stuck sources then match by hall.augment,
+    which tries candidates in the same order.  Returns None when no perfect
+    matching exists.  hall.max_matching is not used here: its first
+    breadth-first phase reads every candidate, while this reads and interns
+    them lazily.  Handing each layer to it took endo-sim padded, depth 1,
+    window 4, prefix 200 from 24 ms to 354 ms in-process (2 vCPUs), with the
+    same output.
     """
     owner: dict[int, int] = {}
-    choice: list[int | None] = [None] * len(candidates)
     pending = []
     for s, stream in enumerate(candidates):
         free = next((t for t in stream() if t not in owner), None)
@@ -225,40 +225,12 @@ def _ordered_matching(candidates: list[Callable[[], Iterable[int]]]) -> list[int
             pending.append(s)
         else:
             owner[free] = s
-            choice[s] = free
 
-    def augment(root: int) -> bool:
-        # depth-first with an explicit stack: path[k] takes via[k] from
-        # path[k + 1], and each frame resumes its own candidate stream
-        banned: set[int] = set()
-        path = [root]
-        via: list[int] = []
-        options = [iter(candidates[root]())]
-        while path:
-            for t in options[-1]:
-                if t in banned:
-                    continue
-                banned.add(t)
-                via.append(t)
-                holder = owner.get(t)
-                if holder is None:
-                    for source, term in zip(path, via):
-                        owner[term] = source
-                        choice[source] = term
-                    return True
-                path.append(holder)
-                options.append(iter(candidates[holder]()))
-                break
-            else:
-                path.pop()
-                options.pop()
-                if via:
-                    via.pop()
-        return False
-
-    for s in pending:
-        if not augment(s):
-            return None
+    if not all(augment(s, lambda r: candidates[r](), owner, set()) for s in pending):
+        return None
+    choice = [0] * len(candidates)
+    for term, s in owner.items():
+        choice[s] = term
     return choice
 
 

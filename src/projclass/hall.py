@@ -1,8 +1,12 @@
 """Exact bipartite matching engine for transversal and surplus questions.
 
-The single primitive is maximum bipartite matching (Hopcroft-Karp) between
-family positions and ground identifiers.  Around it sit the deciders used
-everywhere else:
+The primitives are maximum bipartite matching (Hopcroft-Karp) between
+family positions and ground identifiers, and augment, one depth-first
+alternating-path search (Kuhn).  Hopcroft-Karp builds every matching this
+module reports, because repeated Kuhn searches are quadratic on long chains.
+augment re-checks each of those matchings for maximality, and grows the
+one-position-at-a-time matchings of the oracle walk and the orbit layers.
+Around them sit the deciders used everywhere else:
 
   * sdr_exists: does the family admit a system of distinct representatives;
   * max_surplus: the maximum of n|F| - |union of F| over position subsets F,
@@ -10,8 +14,8 @@ everywhere else:
     subset: by the deficiency form of Koenig's theorem it equals
     (positions) - (maximum matching) on the n-fold expanded family, and the
     unique inclusion-minimal witness is the set of positions reachable from
-    unmatched ones along alternating paths.  The same sweep, run on every
-    matching before it is returned, confirms that no augmenting path remains;
+    unmatched ones along alternating paths.  The augment sweep that confirms
+    every matching maximal before it is returned finds that set too;
   * SurplusProfile: the window surplus S(t) of one family at one n, with its
     supremum, its smallest reaching window and its certificates.  Past the
     prefix S is arithmetic, and no window is matched twice.  window_surplus,
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from typing import NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import UndecidableFamilyError
 from .family import (
@@ -82,10 +86,12 @@ def max_matching(g: BipartiteIncidence) -> tuple[int, dict[int, int], frozenset[
     depth-first augmentation, so path length is not bounded by the
     interpreter's recursion limit.  The distance map is keyed by left
     vertices plus a None sentinel standing for "reached a free element".
-    Before returning, maximality is re-verified by one alternating sweep
-    from the unmatched positions: it must reach no free element.  The
-    positions that sweep reached are returned too; they are the canonical
-    maximum-deficiency witness (see _alternating_reach).
+    Before returning, maximality is re-verified: augment, from every
+    unmatched position with one shared seen set, must reach no free element.
+    The positions that sweep reached, the unmatched ones and the owners of
+    the elements it saw, are returned too.  They attain the maximum
+    deficiency |F| - |N(F)| and lie inside every other maximiser, so they
+    are the canonical inclusion-minimal witness.
     """
     positions, adj = g
     inf = float("inf")
@@ -147,39 +153,45 @@ def max_matching(g: BipartiteIncidence) -> tuple[int, dict[int, int], frozenset[
             if p not in pair_pos:
                 dfs(p)
 
-    reached, free = _alternating_reach(g, pair_pos, pair_elem)
-    if free:
+    unmatched = [p for p in positions if p not in pair_pos]
+    seen: set[int] = set()
+    if any(augment(p, adj.__getitem__, pair_elem, seen) for p in unmatched):
         raise AssertionError("matching reported as maximum but an augmenting path remains")
-    return len(pair_pos), pair_pos, reached
+    return len(pair_pos), pair_pos, frozenset(unmatched).union(pair_elem[e] for e in seen)
 
 
-def _alternating_reach(g, pair_pos, pair_elem) -> tuple[frozenset[int], bool]:
-    """Positions reachable from unmatched ones along alternating paths.
+def augment(
+    root: int, neighbours: Callable[[int], Iterable[int]], owner: dict[int, int], seen: set[int]
+) -> bool:
+    """Match root along an alternating path to a free element, if one exists (Kuhn).
 
-    The flag tells whether such a path reaches a free element, that is,
-    whether the matching still has an augmenting path.  When it does not,
-    the matching is maximum and the reached set attains the maximum
-    deficiency |F| - |N(F)| and is contained in every other maximiser, so it
-    is the unique inclusion-minimal witness.
+    neighbours(p) gives position p's elements in the order to try them, and
+    owner maps each matched element to its position; on success owner is
+    updated along the path.  Depth first with an explicit stack: path[k]
+    reaches path[k + 1] through via[k].  An element in seen is never tried,
+    and every element tried joins seen, so the search cannot cycle, and a
+    seen shared by several failed calls holds every element they reached.
     """
-    positions, adj = g
-    reached = {p for p in positions if p not in pair_pos}
-    queue = deque(reached)
-    seen_elem = set()
-    free = False
-    while queue:
-        p = queue.popleft()
-        for e in adj[p]:
-            if e in seen_elem:
-                continue
-            seen_elem.add(e)
-            q = pair_elem.get(e)
-            if q is None:
-                free = True
-            elif q not in reached:
-                reached.add(q)
-                queue.append(q)
-    return frozenset(reached), free
+    path, via, edges = [root], [], [iter(neighbours(root))]
+    while path:
+        for e in edges[-1]:
+            if e not in seen:
+                seen.add(e)
+                via.append(e)
+                q = owner.get(e)
+                if q is None:
+                    for p, elem in zip(path, via):
+                        owner[elem] = p
+                    return True
+                path.append(q)
+                edges.append(iter(neighbours(q)))
+                break
+        else:
+            path.pop()
+            edges.pop()
+            if via:
+                via.pop()
+    return False
 
 
 def sdr_exists(fam: FiniteFamily) -> bool:

@@ -11,8 +11,9 @@ as bit i - 1.  Every family is answered from one read of its parent's state
 (_children); a node is built (_extend) only to descend into it.
 - Matching: the parent's matching is maximum, so a child with new set M
   matches one more position exactly when M meets the elements from which an
-  alternating path reaches a free one (Berge).  _extend augments from the
-  new position only; it is not hall.max_matching, which it checks.
+  alternating path reaches a free one (Berge).  _extend grows the matching
+  by one hall.augment from the new position, the search that
+  hall.max_matching's maximality sweep runs too.
 - Euler class: the parent's product times the child's linear form.
 - Permanent: a node keeps Ryser's products over the 2^max_ground subsets of
   the ground, and _extend multiplies each by the new row's count.  Expanding
@@ -100,7 +101,7 @@ class _Node(NamedTuple):
     """One family of the walk and each route's state for it."""
 
     sets: tuple[frozenset[int], ...]
-    owner: list[int | None]  # the position matched to each ground element
+    owner: dict[int, int]  # the position matched to each matched ground element
     matched: int
     product: dict[int, int]  # element i is bit i - 1
     table: list[int]  # Ryser's products at each subset of the ground
@@ -115,44 +116,17 @@ def _piece(mask: int) -> tuple[int, frozenset[int], list[tuple[int, int]]]:
 
 
 def _root(max_ground: int) -> _Node:
-    return _Node((), [None] * (max_ground + 1), 0, {0: 1}, [1] * (1 << max_ground), [0], False)
+    return _Node((), {}, 0, {0: 1}, [1] * (1 << max_ground), [0], False)
 
 
 def _extend(node: _Node, piece: tuple) -> _Node:
     """The child of node whose new set is piece; each route extends its own state."""
     mask, members, form = piece
-    sets, owner = node.sets + (members,), node.owner[:]
-    matched = node.matched + _augment(sets, owner, len(node.sets))
+    sets, owner = node.sets + (members,), dict(node.owner)
+    matched = node.matched + hall.augment(len(node.sets), sets.__getitem__, owner, set())
     unions, deficient = _sweep(node.unions, node.deficient, mask)
     product, table = euler.times_form(node.product, form), euler.ryser_extend(node.table, mask)
     return _Node(sets, owner, matched, product, table, unions, deficient)
-
-
-def _augment(sets: Sequence[frozenset[int]], owner: list[int | None], new: int) -> bool:
-    """Match position new along an alternating path, if one reaches a free element.
-
-    Depth first with an explicit stack: path[k] reaches path[k + 1] through
-    via[k].  Each element is tried once (seen), so the search cannot cycle.
-    """
-    path, via, edges, seen = [new], [], [iter(sets[new])], 0
-    while path:
-        for e in edges[-1]:
-            if not seen >> e & 1:
-                seen |= 1 << e
-                via.append(e)
-                if owner[e] is None:
-                    for p, elem in zip(path, via):
-                        owner[elem] = p
-                    return True
-                path.append(owner[e])
-                edges.append(iter(sets[owner[e]]))
-                break
-        else:
-            path.pop()
-            edges.pop()
-            if via:
-                via.pop()
-    return False
 
 
 def _sweep(unions: list[int], deficient: bool, row: int) -> tuple[list[int], bool]:
@@ -205,7 +179,7 @@ def _children(node: _Node, pieces: list) -> Iterator[Case]:
     (popcount(u_m) = |m|) and the new set lies inside u_m.
     """
     sets, matched, deficient, unions = node.sets, node.matched, node.deficient, node.unions
-    reach, avoid = _reach(node.owner, unions), _avoiding(node)
+    reach, avoid = _reach(node.owner, unions, len(pieces) - 1), _avoiding(node)
     sizes = map(int.bit_count, range(len(unions)))
     tight = [] if deficient else [u for u, size in zip(unions, sizes) if u.bit_count() == size]
     perms = [0]
@@ -221,16 +195,16 @@ def _children(node: _Node, pieces: list) -> Iterator[Case]:
         )
 
 
-def _reach(owner: list[int | None], unions: list[int]) -> int:
+def _reach(owner: dict[int, int], unions: list[int], ground: int) -> int:
     """The elements, element i as bit i - 1, from which an alternating path reaches a free one.
 
-    A free element reaches itself; a matched one reaches when its owner's
-    set (unions[1 << owner]) holds another element that does (Berge).  The
-    matching is maximum, so a new position gains a partner exactly when its
-    set meets this mask.
+    ground is the mask of every element.  A free element reaches itself; a
+    matched one reaches when its owner's set (unions[1 << owner]) holds
+    another element that does (Berge).  The matching is maximum, so a new
+    position gains a partner exactly when its set meets this mask.
     """
-    held = [(1 << (e - 1), unions[1 << p]) for e, p in enumerate(owner) if p is not None]
-    reach = (1 << (len(owner) - 1)) - 1 - sum(bit for bit, _ in held)
+    held = [(1 << (e - 1), unions[1 << p]) for e, p in owner.items()]
+    reach = ground - sum(bit for bit, _ in held)
     grew = True
     while grew:
         grew = False
@@ -248,7 +222,7 @@ def _avoiding(node: _Node) -> dict[int, int]:
     subsets that miss e; by size, the sums over all subsets less those over
     the ones that hold e.
     """
-    t, g = len(node.sets), len(node.owner) - 1
+    t, g = len(node.sets), len(node.table).bit_length() - 1
     size_sum = [0] * (g + 1)
     holding = {1 << i: [0] * (g + 1) for i in range(g)}
     for s, p in enumerate(node.table):

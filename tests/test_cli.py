@@ -322,6 +322,19 @@ def test_no_traceback_on_hostile_input(deep_file, tri_file, argv, code):
         assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("value", [str(10**20), str(2**64)])
+@pytest.mark.parametrize("argv", [("analyze", "--m", "1", "--n"), ("nbound", "--m")])
+def test_no_traceback_at_huge_integers(tri_file, argv, value):
+    proc = cli_process(*argv, value, "--family", tri_file)
+    assert proc.returncode in (0, 2)
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == 0:
+        assert proc.stderr == "" and proc.stdout.count("\n") == 1
+    else:
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+
+
 def test_deep_terms_dump_decodes_every_wrap(tri_file):
     # depth 400 stays under the JSON encoder's nesting limit, so the dump prints
     proc = cli_process("endo-sim", "--family", tri_file, "--depth", "400", "--window", "0",

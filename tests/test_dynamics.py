@@ -316,6 +316,14 @@ def test_ordered_matching_long_augmenting_path():
     assert choice == list(range(2, 5001)) + [1]
 
 
+def test_ordered_matching_searches_each_stuck_source_afresh():
+    # greedy leaves sources 2 and 3 stuck; source 2's path frees 1 by moving
+    # source 0 to 3, and source 3's path must try 3 again, so a seen set kept
+    # from the first search would miss it
+    candidates = [[1, 3, 4], [2, 3], [1], [2]]
+    assert _ordered_matching([partial(iter, c) for c in candidates]) == [4, 3, 1, 2]
+
+
 @given(
     members=st.frozensets(st.integers(1, 9).map(lambda i: 2 * i - 1), max_size=4),
     j=st.integers(-3, 3),

@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from projclass.family import (
 from projclass.hall import (
     INFINITE,
     BipartiteIncidence,
-    _alternating_reach,
+    augment,
     decide_trivial_minorization,
     max_matching,
     max_surplus,
@@ -62,9 +63,18 @@ def test_max_matching_four_positions():
     assert size == 3
 
 
-def test_alternating_reach_sees_a_free_element_past_a_non_maximum_matching():
-    g = BipartiteIncidence.from_family(finite({1}, {2}))
-    assert _alternating_reach(g, {}, {}) == (frozenset({1, 2}), True)
+def test_augment_sees_a_free_element_past_a_non_maximum_matching():
+    # position 1 holds element 1, and position 2 reaches the free element 2
+    # through it: the path flips, and both elements were tried
+    adj = {1: (1, 2), 2: (1,)}
+    owner, seen = {1: 1}, set()
+    assert augment(2, adj.__getitem__, owner, seen)
+    assert owner == {1: 2, 2: 1} and seen == {1, 2}
+    # an element already seen is never tried, so the same search fails and
+    # leaves the matching as it was
+    owner, seen = {1: 1}, {2}
+    assert not augment(2, adj.__getitem__, owner, seen)
+    assert owner == {1: 1} and seen == {1, 2}
 
 
 def test_sdr_exists_basics():
@@ -188,13 +198,24 @@ def test_surplus_is_permutation_invariant(sets, seed):
     )
 
 
-@given(sets=small_sets)
-def test_witness_attains_the_reported_surplus(sets):
-    fam = FiniteFamily(sets)
-    report = max_surplus(fam, 1)
-    chosen = [sets[j - 1] for j in report.witness_F]
-    union = frozenset().union(*chosen) if chosen else frozenset()
-    assert len(chosen) - len(union) == report.max_surplus
+@given(sets=small_sets, n=st.integers(1, 3))
+def test_witness_attains_the_reported_surplus(sets, n):
+    report = max_surplus(FiniteFamily(sets), n)
+
+    def surplus(positions):
+        return n * len(positions) - len(frozenset().union(*(sets[j - 1] for j in positions)))
+
+    assert surplus(report.witness_F) == report.max_surplus
+    # the witness is the least maximiser: the intersection of all of them
+    subsets = [
+        frozenset(c)
+        for r in range(len(sets) + 1)
+        for c in itertools.combinations(range(1, len(sets) + 1), r)
+    ]
+    best = max(map(surplus, subsets))
+    assert frozenset(report.witness_F) == frozenset.intersection(
+        *(f for f in subsets if surplus(f) == best)
+    )
 
 
 @settings(max_examples=40)
@@ -217,6 +238,11 @@ def test_max_matching_long_augmenting_path():
     size, matching, _ = max_matching(BipartiteIncidence.from_family(FiniteFamily(chain_sets(5000))))
     assert size == 5000
     assert matching[5000] == 1 and matching[1] == 2 and matching[4999] == 5000
+    # {1}, {1,2}, ..., {4999,5000}, {5000}: one position stays unmatched, and
+    # the maximality sweep reaches every other one through 5000 alternations
+    path = (frozenset({1}),) + chain_sets(5000)[:-1] + (frozenset({5000}),)
+    size, _, reached = max_matching(BipartiteIncidence.from_family(FiniteFamily(path)))
+    assert size == 5000 and reached == frozenset(range(1, 5002))
 
 
 def count_matchings(monkeypatch) -> list[int]:

@@ -2,12 +2,12 @@
 
 Every case the walk reports comes from _children, one read of its parent's
 state, so every child of every parent tried here is held to the library
-routes.  Where a walk step shares code with its per-case route (the Euler
-fold step, Ryser's table and the subset sweep), the case is also held to a
-reference that shares none: the product of linear forms under
-MultilinearPoly.__mul__, the backtracking representative count and the
-brute-force surplus.  _extend builds the parents, so its state is checked
-through their children.
+routes.  Where a walk step shares code with its per-case route (hall.augment,
+the Euler fold step, Ryser's table and the subset sweep), the case is also
+held to a reference that shares none: the backtracking matching size, the
+product of linear forms under MultilinearPoly.__mul__, the backtracking
+representative count and the brute-force surplus.  _extend builds the
+parents, so its state is checked through their children.
 """
 
 import itertools
@@ -15,7 +15,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_max_surplus, brute_sdr_count
+from conftest import brute_max_matching, brute_max_surplus, brute_sdr_count
 from projclass import oracle
 from projclass.euler import MultilinearPoly, euler_class, indicator_vector, sdr_count
 from projclass.family import FiniteFamily
@@ -25,7 +25,7 @@ from projclass.hall import BipartiteIncidence, max_matching
 def assert_case_agrees(case):
     sets, matched, product, permanent, deficient = case
     fam = FiniteFamily(sets)
-    assert matched == max_matching(BipartiteIncidence.from_family(fam))[0]
+    assert matched == max_matching(BipartiteIncidence.from_family(fam))[0] == brute_max_matching(sets)
     poly = euler_class(indicator_vector(s) for s in sets)
     # ground element i is bit i - 1 of the walk's monomials
     assert product == {sum(1 << (i - 1) for i in m): c for m, c in poly.terms.items()}
@@ -54,32 +54,23 @@ def assert_children_agree(node, max_ground):
     return children
 
 
-@pytest.mark.parametrize("max_sets, max_ground", [(3, 3), (2, 4)])
-def test_walk_equals_the_per_case_routes_at_every_node(max_sets, max_ground):
-    by_size = {}
-    for case in oracle._walk(max_sets, max_ground):
-        assert_case_agrees(case)
-        by_size.setdefault(len(case[0]), []).append(case[0])
-    subsets = [oracle._piece(mask)[1] for mask in range(1 << max_ground)]
-    # every ordered family once, each size in itertools.product order
-    assert by_size == {
-        s: list(itertools.product(subsets, repeat=s)) for s in range(1, max_sets + 1)
-    }
-    assert sum(map(len, by_size.values())) == sum(
-        (2**max_ground) ** s for s in range(1, max_sets + 1)
-    )
-
-
 @pytest.mark.parametrize("max_sets, max_ground", [(3, 3), (2, 4), (1, 5), (2, 6)])
 def test_leaves_equal_extend_under_every_parent(max_sets, max_ground):
-    """The walk's cases of each size are the children of the parents _extend builds."""
+    """The walk's cases of each size are the children of the parents _extend builds.
+
+    Every ordered family comes out once, each size in itertools.product
+    order, and no case of any other size.
+    """
     pieces = [oracle._piece(mask) for mask in range(1 << max_ground)]
+    subsets = [piece[1] for piece in pieces]
     parents = [oracle._root(max_ground)]
     walked = list(oracle._walk(max_sets, max_ground))
+    assert len(walked) == sum((2**max_ground) ** s for s in range(1, max_sets + 1))
     for size in range(1, max_sets + 1):
         children = [case for node in parents for case in assert_children_agree(node, max_ground)]
         # in the same order
         assert [case for case in walked if len(case[0]) == size] == children
+        assert [case[0] for case in children] == list(itertools.product(subsets, repeat=size))
         parents = [oracle._extend(node, piece) for node in parents for piece in pieces]
 
 
