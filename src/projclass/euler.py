@@ -15,6 +15,7 @@ of the matching engine: same questions, disjoint machinery.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import comb
 from typing import Iterable, Mapping
 
@@ -147,13 +148,15 @@ def euler_class(bundles: Iterable[Mapping[int, int]]) -> MultilinearPoly:
 
     The empty sum has Euler class 1.  Every bundle is validated by
     chern_vector, even after the product has vanished.  The product is
-    folded over integer bitmasks by times_form, the k-th of the sorted
-    coordinates taking the bit 1 << k (never a shift by the coordinate,
-    which may be huge).  The fold stops at zero, and the surviving masks are
-    decoded once, at the end.  A product whose product_work passes
-    EULER_WORK_CAP is refused before any multiply.
+    folded in fold_order over integer bitmasks by times_form, the k-th of
+    the sorted coordinates taking the bit 1 << k (never a shift by the
+    coordinate, which may be huge).  The fold stops at zero, and the
+    surviving masks are decoded once, at the end.  A product whose
+    product_work, taken over the folded order, passes EULER_WORK_CAP is
+    refused before any multiply.
     """
     vectors = [chern_vector(v) for v in bundles]
+    vectors = [vectors[j] for j in fold_order(vectors)]
     coords = sorted({i for v in vectors for i in v})
     if product_work(vectors, len(coords)) > EULER_WORK_CAP:
         raise OracleBoundsError("Euler product too large: its estimated work passes the cap")
@@ -169,20 +172,59 @@ def euler_class(bundles: Iterable[Mapping[int, int]]) -> MultilinearPoly:
     )
 
 
-def product_work(vectors: list[ChernVector], coords: int) -> int:
-    """An upper bound on the term pairs the fold of vectors multiplies, over coords coordinates.
+def fold_order(vectors: list[ChernVector]) -> list[int]:
+    """The positions of vectors in the order euler_class multiplies them.
 
-    After k forms the product has at most min(C(coords, k), |v_1|...|v_k|)
-    terms, and the next fold step pairs each with |v_{k+1}| coefficients.
-    The running product is clamped at 2^coords, which C(coords, k) never
-    passes, and the binomial is updated in place, so each bundle costs a few
-    integer operations however many there are.
+    Fewest coordinates that no earlier vector has first; ties go to the
+    vector whose coordinates occur in the most vectors, then to the earlier
+    one.  The product then lives on few coordinates, and k forms on fewer
+    than k coordinates, which vanish, are met early.  A heap of (unseen,
+    -shared, position) gets a fresh entry whenever a count drops, and stale
+    entries are skipped when popped: O(sum |v| log n).
     """
-    work, terms, choose, limit = 0, 1, 1, 1 << coords  # choose = C(coords, k)
+    holders: dict[int, list[int]] = {}
+    for j, v in enumerate(vectors):
+        for i in v:
+            holders.setdefault(i, []).append(j)
+    unseen = [len(v) for v in vectors]
+    shared = [-sum(len(holders[i]) for i in v) for v in vectors]  # negated for the min-heap
+    heap = [(n, s, j) for j, (n, s) in enumerate(zip(unseen, shared))]
+    heapify(heap)
+    order = []
+    while heap:
+        n, _, j = heappop(heap)
+        if n != unseen[j]:
+            continue  # j is already folded, or has a newer entry
+        unseen[j] = -1
+        order.append(j)
+        for i in vectors[j]:
+            for k in holders.pop(i, ()):
+                if unseen[k] > 0:
+                    unseen[k] -= 1
+                    heappush(heap, (unseen[k], shared[k], k))
+    return order
+
+
+def product_work(vectors: list[ChernVector], coords: int) -> int:
+    """An upper bound on the term pairs the fold of vectors, in this order, multiplies.
+
+    After k forms over coords coordinates the product has at most
+    min(C(coords, k), |v_1|...|v_k|) terms, and the next step pairs each
+    with |v_{k+1}| coefficients.  Term counts are held at EULER_WORK_CAP + 1
+    (a binomial is kept exactly only while below that, and read by symmetry
+    on its falling side), so the integers stay cap-sized; the result equals
+    the unheld bound up to the cap and passes the cap exactly when it does.
+    """
+    top = EULER_WORK_CAP + 1
+    rising = [1]  # C(coords, k) for k = 0, 1, ... up to coords // 2, while below top
+    while len(rising) <= coords // 2 and rising[-1] < top:
+        rising.append(comb(coords, len(rising)))
+    work, terms = 0, 1
     for k, v in enumerate(vectors):
-        work += min(choose, terms) * len(v)
-        terms = min(terms * len(v), limit)
-        choose = choose * (coords - k) // (k + 1)
+        side = min(k, coords - k)
+        choose = 0 if side < 0 else rising[side] if side < len(rising) else top
+        work += min(choose, terms, top) * len(v)
+        terms = min(terms * len(v), top)
     return work
 
 

@@ -1,37 +1,37 @@
 """Cross-check of the four routes to the Hall question on small families.
 
 oracle_check asks whether a family of index sets has a system of distinct
-representatives by matching, by the Euler class, by the permanent (Ryser,
-Combinatorial Mathematics, 1963) and by a sweep over the subsets of
+representatives (an SDR) by matching, by the Euler class, by the permanent
+(Ryser, Combinatorial Mathematics, 1963) and by a sweep over the subsets of
 positions, and counts the families where the answers differ.
 
-The exhaustive part walks the product tree depth first: the node at depth d
-is one ordered family of d sets with each route's state for it, element i
-as bit i - 1.  Every family is answered from one read of its parent's state
-(_children); a node is built (_extend) only to descend into it.
-- Matching: the parent's matching is maximum, so a child with new set M
-  matches one more position exactly when M meets the elements from which an
-  alternating path reaches a free one (Berge).  _extend grows the matching
-  by one hall.augment from the new position, the search that
-  hall.max_matching's maximality sweep runs too.
-- Euler class: the parent's product times the child's linear form.
+The exhaustive part walks the product tree depth first; a node is one
+ordered family with each route's own state for it, element i as bit i - 1.
+_walk yields every parent of a case, _extend builds a node only to descend
+into it, and _verdicts answers all 2^g children of a parent as one 2^g-bit
+int per route (bit M: the child with new set M has an SDR).  Each route
+rejects exactly the M inside one mask x, and answers every ^ below[x].
+- Matching: the parent's matching is maximum, so the child matches one more
+  position exactly when M meets the elements from which an alternating path
+  reaches a free one (Berge); _extend runs hall.augment from the new position.
+- Euler class: the parent's product P times M's form.  The walk multiplies
+  0/1 forms, so P's coefficients are positive, nothing cancels, and the
+  product vanishes exactly when M lies inside every support of P.
 - Permanent: a node keeps Ryser's products over the 2^max_ground subsets of
-  the ground, and _extend multiplies each by the new row's count.  Expanding
-  along the new row M, a child's representative systems are the parent's
-  plus one element of M that they avoid.
-- Sweep: a new subset m + {new} is deficient exactly when
-  |m| >= popcount(u_m | M), read from the parent's unions u_m; the parent's
-  deficient subsets are the child's too.
+  the ground.  Along the new row, the child's SDRs are the parent's that
+  avoid an element of M, an exact count: none exactly when M lies inside
+  the elements every parent SDR uses.
+- Sweep: m + {new} is deficient exactly when |m| >= popcount(u_m | M), from
+  the parent's unions u_m; the parent's deficient subsets stay deficient.
 
-The stack holds one node per depth, and every route answers for every case
-through _answers.  Random cases run the per-case library routes instead.
+Random cases run the per-case library routes, once per distinct family.
 """
 
 from __future__ import annotations
 
 import random
-from functools import partial
-from operator import ge, sub
+from functools import cache, partial, reduce
+from operator import and_, ge, or_, sub
 from typing import Iterator, NamedTuple, Sequence
 
 from . import euler, hall
@@ -64,24 +64,26 @@ def oracle_check(max_sets: int, max_ground: int, random_cases: int, seed: int) -
     if total > 250_000 or (total + random_cases) << max_ground > ORACLE_WORK_CAP:
         raise OracleBoundsError("bounds too large for exhaustive oracle")
 
+    below = _below(max_ground)
     exhaustive = 0
     disagreements: list[tuple[frozenset[int], ...]] = []
-    for case in _walk(max_sets, max_ground):
-        exhaustive += 1
-        by_matching, by_euler, by_permanent, by_sweep = _answers(case)
-        if not by_matching == by_euler == by_permanent == by_sweep:
-            disagreements.append(case[0])
+    for node in _walk(max_sets, max_ground):
+        exhaustive += len(below)
+        by_matching, by_euler, by_permanent, by_sweep = _verdicts(node, below)
+        odd = (by_matching ^ by_euler) | (by_matching ^ by_permanent) | (by_matching ^ by_sweep)
+        if odd:  # in mask order
+            disagreements += [node.sets + (_members(m),) for m in range(len(below)) if odd >> m & 1]
     # depth first lists each size in product order, but interleaves sizes
     disagreements.sort(key=len)
 
-    rng = random.Random(seed)
+    rng, agree = random.Random(seed), cache(_four_way_agree)
     for _ in range(random_cases):
         size = rng.randint(1, max_sets)
         combo = tuple(
             frozenset(rng.sample(range(1, max_ground + 1), rng.randint(0, max_ground)))
             for _ in range(size)
         )
-        if not _four_way_agree(combo):
+        if not agree(combo):
             disagreements.append(combo)
 
     doc = {
@@ -109,10 +111,26 @@ class _Node(NamedTuple):
     deficient: bool
 
 
+def _members(mask: int) -> frozenset[int]:
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def _piece(mask: int) -> tuple[int, frozenset[int], list[tuple[int, int]]]:
     """A subset of the ground as its mask, its members and its linear form."""
-    bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
-    return mask, frozenset(i + 1 for i in bits), [(1 << i, 1) for i in bits]
+    members = _members(mask)
+    return mask, members, [(1 << (i - 1), 1) for i in sorted(members)]
+
+
+def _below(max_ground: int) -> list[int]:
+    """below[x] has bit M set for every subset M of x, over the 2^max_ground masks x.
+
+    Doubling: x = y | 1 << k sits 2^k past y, and its subsets are y's and
+    y's with bit k added, below[y] shifted by 1 << k.
+    """
+    below = [1]
+    for k in range(max_ground):
+        below += [v | v << (1 << k) for v in below]
+    return below
 
 
 def _root(max_ground: int) -> _Node:
@@ -140,24 +158,13 @@ def _sweep(unions: list[int], deficient: bool, row: int) -> tuple[list[int], boo
     return unions + grown, deficient or any(map(ge, sizes, map(int.bit_count, grown)))
 
 
-# what the walk reports per ordered family: its sets, and each route's exact
-# value there (matched positions, Euler product, Ryser sum, deficient flag);
-# a plain tuple, since _children builds one per case and nothing else
-Case = tuple[tuple[frozenset[int], ...], int, dict[int, int], int, bool]
+def _walk(max_sets: int, max_ground: int) -> Iterator[_Node]:
+    """Every ordered family of 0..max_sets - 1 subsets of {1..max_ground}, depth first.
 
-
-def _answers(case: Case) -> tuple[bool, bool, bool, bool]:
-    """Each route's answer for one case: matching, Euler class, permanent, subset sweep."""
-    sets, matched, product, permanent, deficient = case
-    return matched == len(sets), bool(product), permanent > 0, not deficient
-
-
-def _walk(max_sets: int, max_ground: int) -> Iterator[Case]:
-    """Every ordered family of 1..max_sets subsets of {1..max_ground}, depth first.
-
-    Each node, the root included, yields its children in mask order, so each
-    size comes out in itertools.product order.  The stack holds, per depth,
-    the lazy _extend of one parent's children.
+    These are the parents of the exhaustive cases.  Each node yields its
+    children in mask order, so the parents of each size, and with them the
+    cases in their mask order, come out in itertools.product order.  The
+    stack holds, per depth, the lazy _extend of one parent's children.
     """
     pieces = [_piece(mask) for mask in range(1 << max_ground)]
     stack = [iter([_root(max_ground)])]
@@ -166,33 +173,30 @@ def _walk(max_sets: int, max_ground: int) -> Iterator[Case]:
         if node is None:
             stack.pop()
             continue
-        yield from _children(node, pieces)
+        yield node
         if len(node.sets) < max_sets - 1:
             stack.append(map(partial(_extend, node), pieces))
 
 
-def _children(node: _Node, pieces: list) -> Iterator[Case]:
-    """Every child of node, in mask order, from one read of node's state.
+def _verdicts(node: _Node, below: list[int]) -> tuple[int, int, int, int]:
+    """Matching, Euler class, permanent and subset sweep for every child of node.
 
-    No child is built; each route follows the module docstring.  For a node
-    with no deficient subset, m + {new} is deficient exactly when m is tight
-    (popcount(u_m) = |m|) and the new set lies inside u_m.
+    Bit M of each is set when that route finds an SDR for node's sets plus
+    M, as the module docstring says.  A parent that is not fully matched
+    frees no element, and a zero product has no support, whose AND is the
+    whole ground.  With no deficient subset, m + {new} is deficient exactly
+    when m is tight (popcount(u_m) = |m|) and M lies inside u_m.
     """
-    sets, matched, deficient, unions = node.sets, node.matched, node.deficient, node.unions
-    reach, avoid = _reach(node.owner, unions, len(pieces) - 1), _avoiding(node)
+    every, ground, unions = (1 << len(below)) - 1, len(below) - 1, node.unions
+    free = _reach(node.owner, unions, ground) if node.matched == len(node.sets) else 0
+    by_matching = every ^ below[ground & ~free]
+    by_euler = every ^ below[reduce(and_, node.product, ground)]
+    by_permanent = every ^ below[sum(b for b, n in _avoiding(node).items() if not n)]
     sizes = map(int.bit_count, range(len(unions)))
-    tight = [] if deficient else [u for u, size in zip(unions, sizes) if u.bit_count() == size]
-    perms = [0]
-    for mask in range(1, len(pieces)):  # mask less its lowest bit, plus that bit
-        perms.append(perms[mask & (mask - 1)] + avoid[mask & -mask])
-    for (mask, members, form), permanent in zip(pieces, perms):
-        yield (
-            sets + (members,),
-            matched + (mask & reach != 0),
-            euler.times_form(node.product, form),
-            permanent,
-            deficient or any(mask | u == u for u in tight),
-        )
+    # the empty subset is tight; a deficient parent rejects every child
+    tight = [ground] if node.deficient else [u for u, k in zip(unions, sizes) if u.bit_count() == k]
+    by_sweep = every ^ reduce(or_, map(below.__getitem__, tight))
+    return by_matching, by_euler, by_permanent, by_sweep
 
 
 def _reach(owner: dict[int, int], unions: list[int], ground: int) -> int:

@@ -495,7 +495,7 @@ def test_subset_sweep_equals_the_frozenset_sweep(sets):
     ],
 )
 def test_oracle_check_consults_every_route(monkeypatch, route, lie):
-    # the route's place among the walk's answers, and the module the random
+    # the route's place among the walk's verdicts, and the module the random
     # cases read it from
     index, module = {
         "sdr_exists": (0, hall), "euler_class": (1, euler), "sdr_count": (2, euler),
@@ -504,16 +504,17 @@ def test_oracle_check_consults_every_route(monkeypatch, route, lie):
     assert oracle_check(2, 2, 0, 0)["disagreements"] == 0
     with monkeypatch.context() as patch:
         patch.setattr(module, route, lie(getattr(module, route)))
-        # the 2 exhaustive cases run on the walk, the 30 random ones per case
+        # the 2 exhaustive cases run on the walk, the 30 random ones per
+        # case; over one element they repeat, and every draw still counts
         assert oracle_check(1, 1, 30, 5)["disagreements"] == 30
-    answers = oracle._answers
+    verdicts = oracle._verdicts
 
-    def walk_lie(node):
-        out = list(answers(node))
-        out[index] = not out[index]
+    def walk_lie(node, below):
+        out = list(verdicts(node, below))
+        out[index] ^= (1 << len(below)) - 1  # every child's answer flipped
         return tuple(out)
 
-    monkeypatch.setattr(oracle, "_answers", walk_lie)
+    monkeypatch.setattr(oracle, "_verdicts", walk_lie)
     doc = oracle_check(2, 2, 0, 0)
     assert doc["disagreements"] == 4 + 16
     # the first five in itertools.product order, although the walk is depth first

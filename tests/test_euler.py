@@ -1,14 +1,20 @@
 import itertools
+import json
 from functools import reduce
+from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import brute_sdr_count, finite
+from projclass import euler
 from projclass.euler import (
     MultilinearPoly,
+    EULER_WORK_CAP,
     chern_vector,
     euler_class,
+    fold_order,
     indicator_vector,
     product_work,
     sdr_count,
@@ -201,6 +207,7 @@ def test_euler_class_validates_bundles_after_the_product_vanished():
 @given(vs=signed_bundles)
 def test_product_work_bounds_the_pairs_the_fold_multiplies(vs):
     vectors = [chern_vector(v) for v in vs]
+    vectors = [vectors[j] for j in fold_order(vectors)]
     coords = sorted({i for v in vectors for i in v})
     bit = {i: 1 << k for k, i in enumerate(coords)}
     product, pairs = {0: 1}, 0
@@ -216,3 +223,87 @@ def test_product_work_of_n_copies_of_one_n_coordinate_bundle():
         assert product_work([indicator_vector(range(1, n + 1))] * n, n) == n * (2**n - 1)
     # many bundles over few coordinates: the clamp keeps the running product small
     assert product_work([{1: 1, 2: 1}] * 10_000, 2) == 2 + 2 * 2 + 1 * 2
+
+
+def unheld_product_work(vectors, coords):
+    """product_work's bound with exact binomials and products, however large."""
+    work, terms = 0, 1
+    for k, v in enumerate(vectors):
+        work += min(comb(coords, k), terms) * len(v)
+        terms *= len(v)
+    return work
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 40).flatmap(
+        lambda c: st.tuples(
+            st.just(c), st.lists(st.frozensets(st.integers(1, c), max_size=c), max_size=30)
+        )
+    )
+)
+def test_product_work_equals_the_unheld_bound_up_to_the_cap(case):
+    coords, supports = case
+    vectors = [indicator_vector(s) for s in supports]
+    held, unheld = product_work(vectors, coords), unheld_product_work(vectors, coords)
+    assert held == unheld or held > EULER_WORK_CAP < unheld
+
+
+def test_product_work_is_linear_in_the_bundles():
+    # one coordinate each: C(c, k) has c-bit numerators, which the estimate
+    # never builds; every step pairs one term with one coefficient
+    assert product_work([{i: 1} for i in range(1, 100_001)], 100_000) == 100_000
+
+
+def test_fold_order_of_a_small_product():
+    # the empty bundle (nothing unseen); [1], which ties [3] and [2] on one
+    # unseen coordinate, shares it more than [3] and comes before [2]; then
+    # [1, 2] (one unseen, shared most), [2] (none unseen), and [3] before [4, 5]
+    vectors = [{4: 1, 5: 1}, {3: 1}, {1: 1}, {1: 1, 2: 1}, {2: 1}, {}]
+    assert fold_order(vectors) == [5, 2, 3, 4, 1, 0]
+
+
+@given(vs=signed_bundles)
+def test_fold_order_is_a_permutation(vs):
+    vectors = [chern_vector(v) for v in vs]
+    assert sorted(fold_order(vectors)) == list(range(len(vectors)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vs=signed_bundles, data=st.data())
+def test_fold_order_ignores_coordinate_labels(vs, data):
+    vectors = [chern_vector(v) for v in vs]
+    coords = sorted({i for v in vectors for i in v})
+    labels = data.draw(st.lists(coordinates, min_size=len(coords), max_size=len(coords), unique=True))
+    relabel = dict(zip(coords, labels))
+    # new labels, coefficients and key order; the same shared coordinates
+    moved = [{relabel[i]: 2 * c for i, c in reversed(v.items())} for v in vectors]
+    assert fold_order(moved) == fold_order(vectors)
+
+
+def test_fold_stops_within_the_deficient_seven(monkeypatch):
+    """The golden euler-wide-zero bundles: 9 wide supports, then 7 over 6 coordinates.
+
+    The seven share their coordinates, so they come first; seven forms on
+    six coordinates vanish, and no other bundle is multiplied.
+    """
+    golden = Path(__file__).parent / "golden" / "cases.json"
+    case = next(c for c in json.loads(golden.read_text()) if c["name"] == "euler-wide-zero")
+    supports = json.loads(case["argv"][case["argv"].index("--bundles") + 1])
+    seven = set(range(9, 16))
+    assert all(set(supports[j]) <= {1, 2, 3, 4, 5, 6} for j in seven)
+    vectors = [indicator_vector(s) for s in supports]
+    order = fold_order(vectors)
+    assert set(order[:7]) == seven
+    forms = []
+    real = euler.times_form
+
+    def recording(product, form):
+        forms.append(form)
+        return real(product, form)
+
+    monkeypatch.setattr(euler, "times_form", recording)
+    assert not euler_class(vectors)
+    assert 1 <= len(forms) <= 7
+    bit = {i: 1 << k for k, i in enumerate(range(1, 19))}
+    assert forms == [[(bit[i], 1) for i in vectors[j]] for j in order[: len(forms)]]

@@ -1,16 +1,22 @@
-"""The oracle's tree walk against the per-case library routes, case by case.
+"""The oracle's per-parent verdicts against the per-case library routes, child by child.
 
-Every case the walk reports comes from _children, one read of its parent's
-state, so every child of every parent tried here is held to the library
-routes.  Where a walk step shares code with its per-case route (hall.augment,
-the Euler fold step, Ryser's table and the subset sweep), the case is also
-held to a reference that shares none: the backtracking matching size, the
-product of linear forms under MultilinearPoly.__mul__, the backtracking
-representative count and the brute-force surplus.  _extend builds the
-parents, so its state is checked through their children.
+_verdicts answers every child of a parent at once, one bit per child and
+route, so every child bit of every parent tried here is held to the library
+routes (max_matching, euler_class, sdr_count and the subset sweep).  Where a
+walk step shares code with its per-case route (hall.augment, the Euler fold
+step, Ryser's table and the subset sweep), each child is also held to a
+reference that shares none: the backtracking matching size, the product of
+linear forms under MultilinearPoly.__mul__, the backtracking representative
+count and the brute-force surplus.  The masks the bits are read from (the
+AND of the Euler product's supports, the elements every representative
+system uses, and the elements no alternating path frees) are held to brute
+force too.  _extend builds the parents, so its state is checked through
+them and their children.
 """
 
 import itertools
+from functools import reduce
+from operator import and_, mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,19 +28,26 @@ from projclass.family import FiniteFamily
 from projclass.hall import BipartiteIncidence, max_matching
 
 
-def assert_case_agrees(case):
-    sets, matched, product, permanent, deficient = case
+def product_of_forms(sets):
+    forms = (MultilinearPoly.linear_form(indicator_vector(s)) for s in sets)
+    return reduce(mul, forms, MultilinearPoly.one())
+
+
+def answers(sets):
+    """Each route's answer for one family: matching, Euler class, permanent, subset sweep.
+
+    Each library route is held to its reference first.
+    """
     fam = FiniteFamily(sets)
-    assert matched == max_matching(BipartiteIncidence.from_family(fam))[0] == brute_max_matching(sets)
+    matched = max_matching(BipartiteIncidence.from_family(fam))[0]
+    assert matched == brute_max_matching(sets)
     poly = euler_class(indicator_vector(s) for s in sets)
-    # ground element i is bit i - 1 of the walk's monomials
-    assert product == {sum(1 << (i - 1) for i in m): c for m, c in poly.terms.items()}
-    forms = MultilinearPoly.one()
-    for s in sets:
-        forms = forms * MultilinearPoly.linear_form(indicator_vector(s))
-    assert poly == forms
-    assert permanent == sdr_count(fam) == brute_sdr_count(sets)
-    assert deficient == (not oracle._subset_sweep(sets)) == (brute_max_surplus(sets) > 0)
+    assert poly == product_of_forms(sets)
+    count = sdr_count(fam)
+    assert count == brute_sdr_count(sets)
+    swept = oracle._subset_sweep(sets)
+    assert swept == (brute_max_surplus(sets) == 0)
+    return matched == len(sets), bool(poly), count > 0, swept
 
 
 def node_of(max_ground, sets):
@@ -44,34 +57,65 @@ def node_of(max_ground, sets):
     return node
 
 
-def assert_children_agree(node, max_ground):
-    """Every child _children yields under node, in mask order, against the routes."""
-    pieces = [oracle._piece(mask) for mask in range(1 << max_ground)]
-    children = list(oracle._children(node, pieces))
-    assert [case[0] for case in children] == [node.sets + (piece[1],) for piece in pieces]
-    for case in children:
-        assert_case_agrees(case)
-    return children
+def masks_of(elements):
+    return sum(1 << (e - 1) for e in elements)
+
+
+def assert_parent_state(node, max_ground):
+    """node's own state and the masks _verdicts reads, against brute force."""
+    sets, ground = node.sets, (1 << max_ground) - 1
+    elements = range(1, max_ground + 1)
+    matched = brute_max_matching(sets)
+    assert node.matched == matched
+    assert node.deficient == (brute_max_surplus(sets) > 0)
+    forms = product_of_forms(sets)
+    # ground element i is bit i - 1 of the walk's monomials
+    assert node.product == {masks_of(m): c for m, c in forms.terms.items()}
+    # the positivity lemma: a 0/1 product has no negative coefficient, so
+    # the child with new set M vanishes exactly when M lies inside every support
+    assert all(c > 0 for c in node.product.values())
+    meet = reduce(and_, node.product, ground)
+    assert meet == masks_of(e for e in elements if all(e in m for m in forms.terms))
+    # the parent's representative systems that avoid e are the child's with new set {e}
+    avoid = oracle._avoiding(node)
+    assert avoid == {1 << (e - 1): brute_sdr_count(sets + (frozenset({e}),)) for e in elements}
+    used = sum(bit for bit, n in avoid.items() if not n)
+    assert used == masks_of(e for e in elements if brute_sdr_count(sets + (frozenset({e}),)) == 0)
+    # the elements from which no alternating path reaches a free one
+    stuck = ground & ~oracle._reach(node.owner, node.unions, ground)
+    assert stuck == masks_of(e for e in elements if brute_max_matching(sets + (frozenset({e}),)) == matched)
+
+
+def assert_verdicts_agree(node, max_ground):
+    """Every child bit of node's four verdicts, in mask order, against the routes."""
+    assert_parent_state(node, max_ground)
+    verdicts = oracle._verdicts(node, oracle._below(max_ground))
+    assert all(0 <= v < 1 << (1 << max_ground) for v in verdicts)
+    for mask in range(1 << max_ground):
+        child = node.sets + (oracle._members(mask),)
+        assert tuple(bool(v >> mask & 1) for v in verdicts) == answers(child), child
+    return verdicts
 
 
 @pytest.mark.parametrize("max_sets, max_ground", [(3, 3), (2, 4), (1, 5), (2, 6)])
 def test_leaves_equal_extend_under_every_parent(max_sets, max_ground):
-    """The walk's cases of each size are the children of the parents _extend builds.
+    """The walk yields the parents _extend builds, each size in itertools.product order.
 
-    Every ordered family comes out once, each size in itertools.product
-    order, and no case of any other size.
+    It yields no node of any other size, and every child bit (every leaf of
+    the product tree, and every inner case too) of every parent agrees with
+    the routes.
     """
-    pieces = [oracle._piece(mask) for mask in range(1 << max_ground)]
-    subsets = [piece[1] for piece in pieces]
-    parents = [oracle._root(max_ground)]
+    subsets = [oracle._members(mask) for mask in range(1 << max_ground)]
     walked = list(oracle._walk(max_sets, max_ground))
-    assert len(walked) == sum((2**max_ground) ** s for s in range(1, max_sets + 1))
-    for size in range(1, max_sets + 1):
-        children = [case for node in parents for case in assert_children_agree(node, max_ground)]
+    assert len(walked) == sum((2**max_ground) ** s for s in range(max_sets))
+    parents = [oracle._root(max_ground)]
+    for size in range(max_sets):
         # in the same order
-        assert [case for case in walked if len(case[0]) == size] == children
-        assert [case[0] for case in children] == list(itertools.product(subsets, repeat=size))
-        parents = [oracle._extend(node, piece) for node in parents for piece in pieces]
+        assert [node for node in walked if len(node.sets) == size] == parents
+        assert [node.sets for node in parents] == list(itertools.product(subsets, repeat=size))
+        for node in parents:
+            assert_verdicts_agree(node, max_ground)
+        parents = [oracle._extend(node, oracle._piece(m)) for node in parents for m in range(1 << max_ground)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -84,33 +128,46 @@ def test_leaves_equal_extend_under_random_parents(case):
     # every prefix of up to 6 sets is a parent, so its children reach 7 sets
     max_ground, masks = case
     node = oracle._root(max_ground)
-    assert_children_agree(node, max_ground)
+    assert_verdicts_agree(node, max_ground)
     for mask in masks:
         node = oracle._extend(node, oracle._piece(mask))
-        assert_children_agree(node, max_ground)
+        assert_verdicts_agree(node, max_ground)
+
+
+def test_below_holds_every_subset():
+    for g in range(5):
+        below = oracle._below(g)
+        assert below == [sum(1 << m for m in range(1 << g) if m & x == m) for x in range(1 << g)]
+
+
+def sdr_children(verdict, max_ground):
+    return [mask for mask in range(1 << max_ground) if verdict >> mask & 1]
 
 
 def test_leaf_edges():
-    # the root's children: one set M has |M| representatives, and only the
-    # empty set is deficient
-    leaves = assert_children_agree(oracle._root(3), 3)
-    assert [leaf[3] for leaf in leaves] == [mask.bit_count() for mask in range(8)]
-    assert [leaf[4] for leaf in leaves] == [True] + [False] * 7
-    # M empty: no representative, no product, a deficient singleton
-    leaves = assert_children_agree(node_of(3, [{1}, {2}]), 3)
-    assert leaves[0] == (({1}, {2}, frozenset()), 2, {}, 0, True)
-    # three rows {1}, {2}, {1, 2} over two elements
-    assert leaves[0b011][3] == 0 and leaves[0b011][1] == 2
-    # a new element outside the parent's union
-    assert leaves[0b100][1:4] == (3, {0b111: 1}, 1)
-    # a parent that is not fully matched, so deficient: every leaf is too
+    # the root's children: one set M has an SDR unless M is empty
+    for verdict in assert_verdicts_agree(oracle._root(3), 3):
+        assert sdr_children(verdict, 3) == list(range(1, 8))
+    # {1}, {2} plus M: an SDR exactly when M holds 3, even for M = {1, 2}
+    node = node_of(3, [{1}, {2}])
+    for verdict in assert_verdicts_agree(node, 3):
+        assert sdr_children(verdict, 3) == [0b100, 0b101, 0b110, 0b111]
+    # a parent that is not fully matched, so deficient: no child has an SDR,
+    # but elements 2 and 3 still free a position
     node = node_of(4, [{1}, {1}, {2, 3}])
     assert node.matched == 2 and node.deficient
-    leaves = assert_children_agree(node, 4)
-    assert all(leaf[4] and leaf[3] == 0 and not leaf[2] for leaf in leaves)
-    assert [leaf[1] for leaf in leaves] == [2 + bool(mask & 0b1110) for mask in range(16)]
+    assert assert_verdicts_agree(node, 4) == (0, 0, 0, 0)
+    assert oracle._reach(node.owner, node.unions, 0b1111) == 0b1110
     # alternating paths: element 2 or 3, whichever the second set holds,
-    # can pass it on to the other, but element 1 cannot move
-    leaves = assert_children_agree(node_of(3, [{1}, {2, 3}]), 3)
-    assert [leaf[1] for leaf in leaves] == [2 + bool(mask & 0b110) for mask in range(8)]
-    assert [leaf[3] for leaf in leaves] == [0, 0, 1, 1, 1, 1, 2, 2]
+    # can pass it on to the other, but element 1 cannot move; every SDR uses 1
+    node = node_of(3, [{1}, {2, 3}])
+    assert oracle._reach(node.owner, node.unions, 0b111) == 0b110
+    assert oracle._avoiding(node) == {0b001: 0, 0b010: 1, 0b100: 1}
+    for verdict in assert_verdicts_agree(node, 3):
+        assert sdr_children(verdict, 3) == [2, 3, 4, 5, 6, 7]
+    # {1, 2} twice: the product 2 x1 x2 has the one support {1, 2}, so a
+    # child survives exactly when M holds 3
+    node = node_of(3, [{1, 2}, {1, 2}])
+    assert node.product == {0b011: 2}
+    for verdict in assert_verdicts_agree(node, 3):
+        assert sdr_children(verdict, 3) == [4, 5, 6, 7]
