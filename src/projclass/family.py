@@ -179,7 +179,11 @@ def window(fam: ProjectionFamily, t: int) -> FiniteFamily:
 
 
 def expand_multiplicity(fam: FiniteFamily, n: int) -> FiniteFamily:
-    """Repeat every set n times, copies adjacent: [A, B] -> [A, A, B, B] for n=2."""
+    """Repeat every set n times, copies adjacent: [A, B] -> [A, A, B, B] for n=2.
+
+    No decision builds this: hall.max_matching gives each position capacity
+    n instead.  The tests match it at capacity 1 as the reference route.
+    """
     if n < 1:
         raise ValueError(f"multiplicity must be >= 1, got {n}")
     return FiniteFamily(tuple(s for s in fam.sets for _ in range(n)))

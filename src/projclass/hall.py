@@ -1,21 +1,23 @@
 """Exact bipartite matching engine for transversal and surplus questions.
 
 The primitives are maximum bipartite matching (Hopcroft-Karp) between
-family positions and ground identifiers, and augment, one depth-first
-alternating-path search (Kuhn).  Hopcroft-Karp builds every matching this
-module reports, because repeated Kuhn searches are quadratic on long chains.
-augment re-checks each of those matchings for maximality, and grows the
-one-position-at-a-time matchings of the oracle walk and the orbit layers.
-Around them sit the deciders used everywhere else:
+family positions, each holding up to a given capacity of elements, and
+ground identifiers, and augment, one depth-first alternating-path search
+(Kuhn).  augment is the only alternating-path step.  Hopcroft-Karp's phases
+run it along their breadth-first layering, because plain repeated Kuhn
+searches are quadratic on long chains.  It re-checks every matching for
+maximality, and grows the one-position-at-a-time matchings of the oracle
+walk and the orbit layers.  Around them sit the deciders used everywhere else:
 
   * sdr_exists: does the family admit a system of distinct representatives;
   * max_surplus: the maximum of n|F| - |union of F| over position subsets F,
     with a canonical witness.  The maximum is never searched subset by
     subset: by the deficiency form of Koenig's theorem it equals
-    (positions) - (maximum matching) on the n-fold expanded family, and the
-    unique inclusion-minimal witness is the set of positions reachable from
-    unmatched ones along alternating paths.  The augment sweep that confirms
-    every matching maximal before it is returned finds that set too;
+    n*(positions) - (maximum matching) with every position at capacity n,
+    and the unique inclusion-minimal witness is the set of positions
+    reachable from those with spare capacity along alternating paths.  The
+    augment sweep that confirms every matching maximal before it is
+    returned finds that set too;
   * SurplusProfile: the window surplus S(t) of one family at one n, with its
     supremum, its smallest reaching window and its certificates.  Past the
     prefix S is arithmetic, and no window is matched twice.  window_surplus,
@@ -31,7 +33,7 @@ matching is re-checked for maximality before being reported.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
+from collections import defaultdict
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import UndecidableFamilyError
@@ -40,7 +42,6 @@ from .family import (
     DisjointBlocks,
     FiniteFamily,
     ProjectionFamily,
-    expand_multiplicity,
     window,
 )
 
@@ -79,85 +80,62 @@ class BipartiteIncidence(NamedTuple):
         return cls(positions, adj)
 
 
-def max_matching(g: BipartiteIncidence) -> tuple[int, dict[int, int], frozenset[int]]:
-    """Maximum matching size, one maximum matching (position -> element) and its reach.
+def max_matching(
+    g: BipartiteIncidence, capacity: int = 1
+) -> tuple[int, dict[int, int], frozenset[int]]:
+    """Maximum matching size, one maximum matching (element -> position) and its reach.
 
-    Hopcroft-Karp with breadth-first phase layering and an iterative
-    depth-first augmentation, so path length is not bounded by the
-    interpreter's recursion limit.  The distance map is keyed by left
-    vertices plus a None sentinel standing for "reached a free element".
-    Before returning, maximality is re-verified: augment, from every
-    unmatched position with one shared seen set, must reach no free element.
-    The positions that sweep reached, the unmatched ones and the owners of
+    Each position may hold up to `capacity` elements and each element one
+    position: a maximum matching of the family with every position copied
+    `capacity` times, found without building the copies.  Hopcroft-Karp
+    phases: a breadth-first layering from the roots, the positions with
+    spare capacity, stops at the layer of the first free element and records
+    each position's forward elements, those free or held by a position one
+    layer on; positions past that layer have none.  augment walks only those
+    lists, from each root again while it has spare capacity and its last
+    search succeeded, with one seen set per phase.  An element no path has
+    used yet keeps its owner, so the layering stays true for every element
+    augment may still try.  Before returning, maximality is re-verified:
+    augment, from every root with one shared seen set, must reach no free
+    element.  The positions that sweep reached, the roots and the owners of
     the elements it saw, are returned too.  They attain the maximum
-    deficiency |F| - |N(F)| and lie inside every other maximiser, so they
-    are the canonical inclusion-minimal witness.
+    deficiency capacity*|F| - |N(F)| and lie inside every other maximiser,
+    so they are the canonical inclusion-minimal witness.
     """
     positions, adj = g
-    inf = float("inf")
-    pair_pos: dict[int, int] = {}
-    pair_elem: dict[int, int] = {}
-    dist: dict[int | None, float] = {}
+    owner: dict[int, int] = {}
+    load = dict.fromkeys(positions, 0)
+    while True:
+        roots = [p for p in positions if load[p] < capacity]
+        dist = dict.fromkeys(roots, 0)
+        forward: defaultdict[int, list[int]] = defaultdict(list)
+        queue, limit = list(roots), 0  # limit: the layer of the first free element
+        for p in queue:
+            step = dist[p] + 1
+            if limit and step > limit:
+                break
+            ahead = forward[p]
+            for e in adj[p]:
+                q = owner.get(e)
+                if q is None:
+                    limit = step
+                elif q not in dist:
+                    dist[q] = step
+                    queue.append(q)
+                elif dist[q] != step:
+                    continue
+                ahead.append(e)
+        if not limit:
+            break
+        seen: set[int] = set()
+        for p in roots:
+            while load[p] < capacity and augment(p, forward.__getitem__, owner, seen):
+                load[p] += 1
 
-    def bfs() -> bool:
-        queue: deque[int] = deque()
-        for p in positions:
-            if p not in pair_pos:
-                dist[p] = 0
-                queue.append(p)
-            else:
-                dist[p] = inf
-        dist[None] = inf
-        while queue:
-            p = queue.popleft()
-            if dist[p] < dist[None]:
-                for e in adj[p]:
-                    q = pair_elem.get(e)
-                    if dist[q] == inf:
-                        dist[q] = dist[p] + 1
-                        if q is not None:
-                            queue.append(q)
-        return dist[None] != inf
-
-    def dfs(root: int) -> bool:
-        # depth-first along the layering with an explicit stack: path[k] is
-        # joined to path[k + 1] through via[k], and each frame resumes its
-        # own adjacency where it left off, in the order recursion would
-        path = [root]
-        via: list[int] = []
-        edges = [iter(adj[root])]
-        while path:
-            p = path[-1]
-            for e in edges[-1]:
-                q = pair_elem.get(e)
-                if dist[q] == dist[p] + 1:
-                    via.append(e)
-                    if q is None:
-                        for node, elem in zip(path, via):
-                            pair_pos[node] = elem
-                            pair_elem[elem] = node
-                        return True
-                    path.append(q)
-                    edges.append(iter(adj[q]))
-                    break
-            else:
-                dist[p] = inf
-                path.pop()
-                edges.pop()
-                if via:
-                    via.pop()
-        return False
-
-    while bfs():
-        for p in positions:
-            if p not in pair_pos:
-                dfs(p)
-
-    unmatched = [p for p in positions if p not in pair_pos]
-    seen: set[int] = set()
-    if any(augment(p, adj.__getitem__, pair_elem, seen) for p in unmatched):
+    seen = set()
+    if any(augment(p, adj.__getitem__, owner, seen) for p in roots):
         raise AssertionError("matching reported as maximum but an augmenting path remains")
-    return len(pair_pos), pair_pos, frozenset(unmatched).union(pair_elem[e] for e in seen)
+    return len(owner), owner, frozenset(roots).union(owner[e] for e in seen)
 
 
 def augment(
@@ -204,7 +182,7 @@ class SurplusReport(NamedTuple):
 
     witness_F lists original family positions.  The matching refers to the
     n-fold expanded family: copy c of original position p sits at expanded
-    position (p-1)*n + c.
+    position (p-1)*n + c and holds the c-th smallest element matched to p.
     """
 
     n: int
@@ -224,24 +202,20 @@ class SurplusReport(NamedTuple):
 def max_surplus(fam: FiniteFamily, n: int = 1) -> SurplusReport:
     """Maximum of n|F| - |union of F| over all position subsets, F = {} included.
 
-    Computed through the deficiency identity on the n-fold expansion, never by
-    subset enumeration.  The witness collapses the expansion back to original
-    positions; copies of one position always travel together because they
-    share a neighborhood.
+    Computed through the deficiency identity on a maximum matching with
+    every position at capacity n, never by subset enumeration.  Copy c of
+    position p, at expanded position (p-1)*n + c, holds p's c-th smallest
+    matched element.
     """
     if n < 1:
         raise ValueError(f"multiplicity must be >= 1, got {n}")
-    expanded = expand_multiplicity(fam, n) if n > 1 else fam
-    g = BipartiteIncidence.from_family(expanded)
-    size, pair_pos, reached = max_matching(g)
-    witness = sorted({(p - 1) // n + 1 for p in reached})
-    return SurplusReport(
-        n=n,
-        positions=len(fam.sets),
-        max_surplus=len(expanded.sets) - size,
-        witness_F=tuple(witness),
-        matching=tuple(sorted(pair_pos.items())),
-    )
+    size, owner, reached = max_matching(BipartiteIncidence.from_family(fam), n)
+    copies: dict[int, int] = {}
+    matching = []
+    for p, e in sorted((p, e) for e, p in owner.items()):
+        copies[p] = c = copies.get(p, 0) + 1
+        matching.append(((p - 1) * n + c, e))
+    return SurplusReport(n, len(fam.sets), n * len(fam.sets) - size, tuple(sorted(reached)), tuple(matching))
 
 
 class MinorizationDecision(NamedTuple):
@@ -399,7 +373,7 @@ class SurplusProfile:
         Past the prefix of a block tail the kept prefix report is extended:
         block i joins the witness exactly when size(i) < n, and its copy
         c <= min(n, size(i)) sits at expanded position (p+i-1)*n + c matched
-        to the block's c-th smallest identifier, as Hopcroft-Karp picks it.
+        to the block's c-th smallest identifier, as max_surplus numbers it.
         """
         tail, p, n = self.fam.tail, self.p, self.n
         if t <= p or not isinstance(tail, DisjointBlocks):

@@ -322,11 +322,23 @@ def test_no_traceback_on_hostile_input(deep_file, tri_file, argv, code):
         assert proc.stdout == ""
 
 
+FINITE_FILE = os.path.join(os.path.dirname(__file__), "golden", "families", "finite.json")
+
+
 @pytest.mark.parametrize("value", [str(10**20), str(2**64)])
-@pytest.mark.parametrize("argv", [("analyze", "--m", "1", "--n"), ("nbound", "--m")])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--family", "TRI", "--m", "1", "--n"),
+        ("nbound", "--family", "TRI", "--m"),
+        # a finite family is matched at the full multiplicity: it must decide
+        ("analyze", "--family", "FINITE", "--m", "3", "--n"),
+        ("nbound", "--family", "FINITE", "--m"),
+    ],
+)
 def test_no_traceback_at_huge_integers(tri_file, argv, value):
-    proc = cli_process(*argv, value, "--family", tri_file)
-    assert proc.returncode in (0, 2)
+    proc = cli_process(*[{"TRI": tri_file, "FINITE": FINITE_FILE}.get(a, a) for a in argv], value)
+    assert proc.returncode in ((0,) if "FINITE" in argv else (0, 2))
     assert "Traceback" not in proc.stderr
     if proc.returncode == 0:
         assert proc.stderr == "" and proc.stdout.count("\n") == 1

@@ -235,9 +235,10 @@ def chain_sets(n: int) -> tuple[frozenset, ...]:
 
 
 def test_max_matching_long_augmenting_path():
-    size, matching, _ = max_matching(BipartiteIncidence.from_family(FiniteFamily(chain_sets(5000))))
+    size, owner, _ = max_matching(BipartiteIncidence.from_family(FiniteFamily(chain_sets(5000))))
     assert size == 5000
-    assert matching[5000] == 1 and matching[1] == 2 and matching[4999] == 5000
+    # position 5000 holds element 1, position 1 holds 2, position 4999 holds 5000
+    assert owner[1] == 5000 and owner[2] == 1 and owner[5000] == 4999
     # {1}, {1,2}, ..., {4999,5000}, {5000}: one position stays unmatched, and
     # the maximality sweep reaches every other one through 5000 alternations
     path = (frozenset({1}),) + chain_sets(5000)[:-1] + (frozenset({5000}),)

@@ -4,7 +4,9 @@ networkx's Hopcroft-Karp and scipy's maximum_bipartite_matching share no
 code with projclass.hall; they are test-only oracles, and the runtime stays
 pure stdlib.  Both the plain matching size and the surplus at multiplicity n
 (n|F| - matching size of the n-fold expansion, by the deficiency form of
-Koenig's theorem) are checked.
+Koenig's theorem) are checked.  The n-fold expansion, which the runtime does
+not build, is kept here as the route the capacity-n matching must agree
+with.
 """
 
 from __future__ import annotations
@@ -45,11 +47,21 @@ def scipy_size(sets) -> int:
 
 
 @settings(max_examples=200, deadline=None)
-@given(sets=families, n=st.integers(1, 3))
+@given(sets=families, n=st.integers(1, 10))
 def test_matching_and_surplus_agree_with_independent_matchers(sets, n):
     size, matching, _ = max_matching(BipartiteIncidence.from_family(FiniteFamily(sets)))
     assert size == len(matching) == networkx_size(sets) == scipy_size(sets)
-    expanded = expand_multiplicity(FiniteFamily(sets), n).sets
-    expected = n * len(sets) - networkx_size(expanded)
-    assert expected == n * len(sets) - scipy_size(expanded)
-    assert max_surplus(FiniteFamily(sets), n).max_surplus == expected
+    expanded = expand_multiplicity(FiniteFamily(sets), n)
+    expected = n * len(sets) - networkx_size(expanded.sets)
+    assert expected == n * len(sets) - scipy_size(expanded.sets)
+    report = max_surplus(FiniteFamily(sets), n)
+    assert report.max_surplus == expected
+    # the capacity-n route against the n-fold expansion at capacity 1: the
+    # same witness once copies collapse to their positions
+    _, _, reached = max_matching(BipartiteIncidence.from_family(expanded))
+    assert report.witness_F == tuple(sorted({(p - 1) // n + 1 for p in reached}))
+    # the printed matching is a matching of the n-fold family, and maximum
+    pairs = report.matching
+    assert all(1 <= q <= n * len(sets) and e in expanded.sets[q - 1] for q, e in pairs)
+    assert len({q for q, _ in pairs}) == len({e for _, e in pairs}) == len(pairs)
+    assert len(pairs) == n * len(sets) - report.max_surplus
