@@ -95,16 +95,28 @@ def max_matching(
     lists, from each root again while it has spare capacity and its last
     search succeeded, with one seen set per phase.  An element no path has
     used yet keeps its owner, so the layering stays true for every element
-    augment may still try.  Before returning, maximality is re-verified:
-    augment, from every root with one shared seen set, must reach no free
-    element.  The positions that sweep reached, the roots and the owners of
-    the elements it saw, are returned too.  They attain the maximum
+    augment may still try.  In the first phase every element is free and
+    every position a root at layer 0, so augment would hand each position,
+    in order, its first elements that no earlier one took; that phase is
+    done directly, without the layering.  Before returning, maximality is
+    re-verified: augment, from every root with one shared seen set, must
+    reach no free element.  The positions that sweep reached, the roots and
+    the owners of the elements it saw, are returned too.  They attain the maximum
     deficiency capacity*|F| - |N(F)| and lie inside every other maximiser,
     so they are the canonical inclusion-minimal witness.
     """
     positions, adj = g
     owner: dict[int, int] = {}
-    load = dict.fromkeys(positions, 0)
+    load: dict[int, int] = {}
+    for p in positions:
+        held = 0
+        for e in adj[p]:
+            if held == capacity:
+                break
+            if e not in owner:
+                owner[e] = p
+                held += 1
+        load[p] = held
     while True:
         roots = [p for p in positions if load[p] < capacity]
         dist = dict.fromkeys(roots, 0)
