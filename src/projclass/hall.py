@@ -101,9 +101,9 @@ def max_matching(
     done directly, without the layering.  Before returning, maximality is
     re-verified: augment, from every root with one shared seen set, must
     reach no free element.  The positions that sweep reached, the roots and
-    the owners of the elements it saw, are returned too.  They attain the maximum
-    deficiency capacity*|F| - |N(F)| and lie inside every other maximiser,
-    so they are the canonical inclusion-minimal witness.
+    the owners of the elements it saw, are returned too.  They attain the
+    maximum deficiency capacity*|F| - |N(F)| and lie inside every other
+    maximiser, so they are the canonical inclusion-minimal witness.
     """
     positions, adj = g
     owner: dict[int, int] = {}
@@ -227,7 +227,8 @@ def max_surplus(fam: FiniteFamily, n: int = 1) -> SurplusReport:
     for p, e in sorted((p, e) for e, p in owner.items()):
         copies[p] = c = copies.get(p, 0) + 1
         matching.append(((p - 1) * n + c, e))
-    return SurplusReport(n, len(fam.sets), n * len(fam.sets) - size, tuple(sorted(reached)), tuple(matching))
+    surplus = n * len(fam.sets) - size
+    return SurplusReport(n, len(fam.sets), surplus, tuple(sorted(reached)), tuple(matching))
 
 
 class MinorizationDecision(NamedTuple):
