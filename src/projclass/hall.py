@@ -5,9 +5,9 @@ family positions, each holding up to a given capacity of elements, and
 ground identifiers, and augment, one depth-first alternating-path search
 (Kuhn).  augment is the only alternating-path step.  Hopcroft-Karp's phases
 run it along their breadth-first layering, because plain repeated Kuhn
-searches are quadratic on long chains.  It re-checks every matching for
-maximality, and grows the one-position-at-a-time matchings of the oracle
-walk and the orbit layers.  Around them sit the deciders used everywhere else:
+searches are quadratic on long chains.  It also grows the
+one-position-at-a-time matchings of the oracle walk and the orbit layers.
+Around them sit the deciders used everywhere else:
 
   * sdr_exists: does the family admit a system of distinct representatives;
   * max_surplus: the maximum of n|F| - |union of F| over position subsets F,
@@ -16,18 +16,18 @@ walk and the orbit layers.  Around them sit the deciders used everywhere else:
     n*(positions) - (maximum matching) with every position at capacity n,
     and the unique inclusion-minimal witness is the set of positions
     reachable from those with spare capacity along alternating paths.  The
-    augment sweep that confirms every matching maximal before it is
-    returned finds that set too;
+    last Hopcroft-Karp layering reaches exactly that set and no free
+    element: the last layering is the proof of maximality;
   * SurplusProfile: the window surplus S(t) of one family at one n, with its
     supremum, its smallest reaching window and its certificates.  Past the
-    prefix S is arithmetic, and no window is matched twice.  window_surplus,
-    surplus_sup and surplus_window_bound each read one profile;
+    prefix S is arithmetic, and no window is matched twice.  surplus_sup
+    and surplus_window_bound each read one profile;
   * decide_trivial_minorization: do m trivial rank-one summands embed under
     n copies of the family's projection, which holds exactly when some finite
     window reaches surplus m at multiplicity n.
 
-All computations are exact; every answer carries a finite witness and every
-matching is re-checked for maximality before being reported.
+All computations are exact; every answer carries a finite witness, and
+every matching is reported with the layering that proves it maximum.
 """
 
 from __future__ import annotations
@@ -98,12 +98,12 @@ def max_matching(
     augment may still try.  In the first phase every element is free and
     every position a root at layer 0, so augment would hand each position,
     in order, its first elements that no earlier one took; that phase is
-    done directly, without the layering.  Before returning, maximality is
-    re-verified: augment, from every root with one shared seen set, must
-    reach no free element.  The positions that sweep reached, the roots and
-    the owners of the elements it saw, are returned too.  They attain the
-    maximum deficiency capacity*|F| - |N(F)| and lie inside every other
-    maximiser, so they are the canonical inclusion-minimal witness.
+    done directly, without the layering.  The last layering is the proof:
+    it reaches no free element, so no augmenting path remains (Berge).  The
+    positions it reached, the roots and the owners of every element next to
+    a reached position, are returned too.  They attain the maximum
+    deficiency capacity*|F| - |N(F)| and lie inside every other maximiser,
+    so they are the canonical inclusion-minimal witness.
     """
     positions, adj = g
     owner: dict[int, int] = {}
@@ -138,16 +138,11 @@ def max_matching(
                     continue
                 ahead.append(e)
         if not limit:
-            break
+            return len(owner), owner, frozenset(dist)
         seen: set[int] = set()
         for p in roots:
             while load[p] < capacity and augment(p, forward.__getitem__, owner, seen):
                 load[p] += 1
-
-    seen = set()
-    if any(augment(p, adj.__getitem__, owner, seen) for p in roots):
-        raise AssertionError("matching reported as maximum but an augmenting path remains")
-    return len(owner), owner, frozenset(roots).union(owner[e] for e in seen)
 
 
 def augment(
@@ -159,8 +154,7 @@ def augment(
     owner maps each matched element to its position; on success owner is
     updated along the path.  Depth first with an explicit stack: path[k]
     reaches path[k + 1] through via[k].  An element in seen is never tried,
-    and every element tried joins seen, so the search cannot cycle, and a
-    seen shared by several failed calls holds every element they reached.
+    and every element tried joins seen, so the search cannot cycle.
     """
     path, via, edges = [root], [], [iter(neighbours(root))]
     while path:
@@ -399,11 +393,6 @@ class SurplusProfile:
             for c in range(1, min(n, tail.size(i)) + 1)
         )
         return SurplusReport(n, t, self.surplus(t), witness, matching)
-
-
-def window_surplus(fam: ProjectionFamily, t: int, n: int) -> SurplusReport:
-    """max_surplus(window(fam, t), n), without the tail expansion."""
-    return SurplusProfile(fam, n).report(t)
 
 
 def surplus_sup(fam: ProjectionFamily, n: int) -> SurplusSup:

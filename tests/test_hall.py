@@ -35,7 +35,6 @@ from projclass.hall import (
     max_matching,
     max_surplus,
     sdr_exists,
-    window_surplus,
 )
 
 FAMILIES = Path(__file__).parent / "golden" / "families"
@@ -198,7 +197,7 @@ def test_surplus_is_permutation_invariant(sets, seed):
     )
 
 
-@given(sets=small_sets, n=st.integers(1, 3))
+@given(sets=small_sets, n=st.integers(1, 5))
 def test_witness_attains_the_reported_surplus(sets, n):
     report = max_surplus(FiniteFamily(sets), n)
 
@@ -240,10 +239,30 @@ def test_max_matching_long_augmenting_path():
     # position 5000 holds element 1, position 1 holds 2, position 4999 holds 5000
     assert owner[1] == 5000 and owner[2] == 1 and owner[5000] == 4999
     # {1}, {1,2}, ..., {4999,5000}, {5000}: one position stays unmatched, and
-    # the maximality sweep reaches every other one through 5000 alternations
+    # the last layering reaches every other one through 5000 alternations
     path = (frozenset({1}),) + chain_sets(5000)[:-1] + (frozenset({5000}),)
     size, _, reached = max_matching(BipartiteIncidence.from_family(FiniteFamily(path)))
     assert size == 5000 and reached == frozenset(range(1, 5002))
+
+
+@pytest.mark.parametrize(
+    "sets, n, matching",
+    [
+        # forward lists keep only elements held one layer on: were every
+        # element of a later-layer position kept, 1 and 3 would swap owners
+        (
+            [{1, 3, 4}, {1, 2, 5}, {3, 4, 7}, {1, 6}, {1, 3}, {5, 6, 7}, {2, 4, 6}],
+            1,
+            ((1, 1), (2, 2), (3, 7), (4, 6), (5, 3), (6, 5), (7, 4)),
+        ),
+        # a root augments again within its phase while it has spare capacity:
+        # position 2 takes 1 and 2 before position 3 tries 2; one augmentation
+        # per root per phase would hand 2 to position 3 instead
+        ([{1, 2, 3, 4}, {1, 2}, {2}], 2, ((1, 3), (2, 4), (3, 1), (4, 2))),
+    ],
+)
+def test_printed_matching_follows_the_layering(sets, n, matching):
+    assert max_surplus(FiniteFamily(sets), n).matching == matching
 
 
 def count_matchings(monkeypatch) -> list[int]:
@@ -346,7 +365,7 @@ def test_full_classification_reads_one_profile(monkeypatch, fam, most):
 def test_window_surplus_equals_windowed_matching(fam, n, extra, data):
     # every field, matching included, against the expanded-window route
     t = data.draw(st.integers(0, len(fam.prefix) + extra))
-    assert window_surplus(fam, t, n) == max_surplus(window(fam, t), n)
+    assert hall.SurplusProfile(fam, n).report(t) == max_surplus(window(fam, t), n)
 
 
 def test_window_surplus_empty_prefix_and_flat_blocks():
@@ -357,7 +376,7 @@ def test_window_surplus_empty_prefix_and_flat_blocks():
     ):
         for n in (1, 2, 5):
             for t in range(0, 9):
-                assert window_surplus(fam, t, n) == max_surplus(window(fam, t), n)
+                assert hall.SurplusProfile(fam, n).report(t) == max_surplus(window(fam, t), n)
 
 
 @settings(max_examples=30, deadline=None)
