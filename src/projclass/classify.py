@@ -20,10 +20,11 @@ ten surplus samples of a full family are read off one profile.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import NamedTuple
 
 from .errors import FullFamilyError, PatternNotFoundError
-from .family import Constant, ProjectionFamily
+from .family import Constant, ProjectionFamily, window
 from .hall import (  # noqa: F401  SurplusSup, surplus_window_bound: re-exported
     INFINITE,
     Infinite,
@@ -166,16 +167,20 @@ class PatternReport(NamedTuple):
         }
 
 
-def verify_minorization_pattern(
-    fam: ProjectionFamily, m_max: int = 4, l_limit: int = 64
-) -> PatternReport:
+def verify_minorization_pattern(fam: ProjectionFamily, m_max: int = 4) -> PatternReport:
     """Exhibit, for each m <= m_max, the finite-but-not-stably-finite pattern.
 
     Confirms that N(m) trivial summands do not fit under m copies, then
-    searches the least l > m under which they do fit.  Only meaningful for
-    non-full families; such an l always exists for them because the surplus
-    supremum grows without bound in the multiplicity.
+    finds the least l > m under which they do, by bisection: fitting is
+    monotone in l, because n|F| - |union of F| grows with n.  Only meaningful
+    for non-full families.  The least l is at most hi = max(m, s) + 1, s the
+    smallest set among the first p + 1 positions (p the prefix length; the
+    first p without a tail).  If sup(m) >= 1 its witness F is nonempty, so
+    sup(m + 1) >= sup(m) + |F| >= N(m).  If sup(m) = 0 then N(m) = 1, and one
+    position of size s alone has surplus hi - s >= 1 at hi.  Only a family
+    with no positions has no such l.
     """
+    first = window(fam, len(fam.prefix) + (fam.tail is not None)).sets
     rows = []
     for m in range(1, m_max + 1):
         n_threshold = compute_N(fam, m)
@@ -184,20 +189,15 @@ def verify_minorization_pattern(
         blocked = not decide_trivial_minorization(fam, n_threshold, m).decision
         if not blocked:
             raise AssertionError(f"threshold N({m}) = {n_threshold} is not minimal")
-        for l in range(m + 1, l_limit + 1):
-            dec = decide_trivial_minorization(fam, n_threshold, l)
-            if dec.decision:
-                rows.append(
-                    PatternRow(
-                        m=m,
-                        n_threshold=n_threshold,
-                        blocked_at_m=blocked,
-                        l=l,
-                        l_window=dec.window,
-                        l_surplus=dec.certificate.max_surplus,
-                    )
-                )
-                break
-        else:
-            raise PatternNotFoundError("pattern not found within bound")
+        hi = max(m, min(map(len, first), default=m)) + 1
+        l = bisect_left(
+            range(hi + 1),
+            True,
+            lo=m + 1,
+            key=lambda n: decide_trivial_minorization(fam, n_threshold, n).decision,
+        )
+        dec = decide_trivial_minorization(fam, n_threshold, l)
+        if not dec.decision:
+            raise PatternNotFoundError("pattern not found: the family has no positions")
+        rows.append(PatternRow(m, n_threshold, blocked, l, dec.window, dec.certificate.max_surplus))
     return PatternReport(tuple(rows))

@@ -36,7 +36,7 @@ class HallViolationError(ProjclassError):
 
 
 class PatternNotFoundError(ProjclassError):
-    """No multiplicity within the search limit exhibits the wanted pattern."""
+    """No multiplicity exhibits the wanted pattern: the family has no positions."""
 
 
 class OracleBoundsError(ProjclassError):

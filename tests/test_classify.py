@@ -1,5 +1,7 @@
+from itertools import count
+
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (
     CONSTANT_ONE,
@@ -31,7 +33,12 @@ from projclass.family import (
     reindex_to_odd,
     window,
 )
-from projclass.hall import INFINITE, max_surplus
+from projclass.hall import (
+    INFINITE,
+    decide_trivial_minorization,
+    max_surplus,
+    unbounded_multiplicity,
+)
 
 
 def test_max_trivial_multiplicity_triangular():
@@ -242,8 +249,36 @@ def test_verify_minorization_pattern_refuses_full_families():
 
 
 def test_verify_minorization_pattern_bound_too_small():
+    # l has no search bound left to fall short of: only a family with no
+    # positions admits no trivial summand at any multiplicity
     with pytest.raises(PatternNotFoundError, match="pattern not found"):
-        verify_minorization_pattern(triangular(), 1, l_limit=1)
+        verify_minorization_pattern(ProjectionFamily(), 1)
+
+
+def test_verify_minorization_pattern_finds_l_past_the_old_scan():
+    # blocks of sizes 101, 102, ...: no surplus at m = 1, so N(1) = 1, and the
+    # first block alone reaches it once l - 101 >= 1
+    (row,) = verify_minorization_pattern(ProjectionFamily((), DisjointBlocks(1, 100, 1)), 1).rows
+    assert (row.n_threshold, row.l, row.l_window, row.l_surplus) == (1, 102, 1, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fam=st.one_of(block_families(), block_families(finite=True)), m_max=st.integers(1, 4))
+def test_verify_minorization_pattern_bisects_the_least_l(fam, m_max):
+    start = unbounded_multiplicity(fam)
+    assume(start is None or m_max < start)
+    if not fam.prefix and fam.tail is None:
+        with pytest.raises(PatternNotFoundError):
+            verify_minorization_pattern(fam, m_max)
+        return
+    rows = verify_minorization_pattern(fam, m_max).rows
+    assert [r.m for r in rows] == list(range(1, m_max + 1))
+    for r in rows:
+        assert r.n_threshold == compute_N(fam, r.m)
+        # the least admitting l, by a linear scan from m + 1
+        l = next(l for l in count(r.m + 1) if decide_trivial_minorization(fam, r.n_threshold, l).decision)
+        dec = decide_trivial_minorization(fam, r.n_threshold, l)
+        assert (r.l, r.l_window, r.l_surplus) == (l, dec.window, dec.certificate.max_surplus)
 
 
 def test_pattern_report_doc():
