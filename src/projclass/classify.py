@@ -28,6 +28,7 @@ from .family import Constant, ProjectionFamily, window
 from .hall import (  # noqa: F401  SurplusSup, surplus_window_bound: re-exported
     INFINITE,
     Infinite,
+    MinorizationDecision,
     SurplusProfile,
     SurplusSup,
     decide_trivial_minorization,
@@ -190,14 +191,15 @@ def verify_minorization_pattern(fam: ProjectionFamily, m_max: int = 4) -> Patter
         if not blocked:
             raise AssertionError(f"threshold N({m}) = {n_threshold} is not minimal")
         hi = max(m, min(map(len, first), default=m)) + 1
-        l = bisect_left(
-            range(hi + 1),
-            True,
-            lo=m + 1,
-            key=lambda n: decide_trivial_minorization(fam, n_threshold, n).decision,
-        )
-        dec = decide_trivial_minorization(fam, n_threshold, l)
-        if not dec.decision:
+        probes: dict[int, MinorizationDecision] = {}
+
+        def fits(n: int) -> bool:
+            probes[n] = decide_trivial_minorization(fam, n_threshold, n)
+            return probes[n].decision
+
+        l = bisect_left(range(hi + 1), True, lo=m + 1, key=fits)
+        if l > hi:
             raise PatternNotFoundError("pattern not found: the family has no positions")
+        dec = probes[l]  # bisect_left returns a probed l unless it ran past hi
         rows.append(PatternRow(m, n_threshold, blocked, l, dec.window, dec.certificate.max_surplus))
     return PatternReport(tuple(rows))

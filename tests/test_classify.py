@@ -276,9 +276,9 @@ def test_verify_minorization_pattern_bisects_the_least_l(fam, m_max):
     for r in rows:
         assert r.n_threshold == compute_N(fam, r.m)
         # the least admitting l, by a linear scan from m + 1
-        l = next(l for l in count(r.m + 1) if decide_trivial_minorization(fam, r.n_threshold, l).decision)
-        dec = decide_trivial_minorization(fam, r.n_threshold, l)
-        assert (r.l, r.l_window, r.l_surplus) == (l, dec.window, dec.certificate.max_surplus)
+        scan = (decide_trivial_minorization(fam, r.n_threshold, l) for l in count(r.m + 1))
+        dec = next(d for d in scan if d.decision)
+        assert (r.l, r.l_window, r.l_surplus) == (dec.n, dec.window, dec.certificate.max_surplus)
 
 
 def test_pattern_report_doc():

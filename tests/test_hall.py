@@ -248,8 +248,8 @@ def test_max_matching_long_augmenting_path():
 @pytest.mark.parametrize(
     "sets, n, matching",
     [
-        # forward lists keep only elements held one layer on: were every
-        # element of a later-layer position kept, 1 and 3 would swap owners
+        # forward lists keep only elements held one layer on: kept whatever
+        # their holder's layer, elements 1 and 3 would swap owners
         (
             [{1, 3, 4}, {1, 2, 5}, {3, 4, 7}, {1, 6}, {1, 3}, {5, 6, 7}, {2, 4, 6}],
             1,
