@@ -17,32 +17,12 @@ import sys
 __version__ = "0.1.0"
 
 _SOURCES = {
-    "classify": """
-        LABEL_FULL LABEL_NON_FULL Classification PatternReport PatternRow SurplusSup
-        TightSet classify compute_N find_tight_set max_trivial_multiplicity surplus_sup
-        surplus_window_bound verify_minorization_pattern
-    """,
-    "dynamics": """
-        GammaEntry GammaFamily SimulationReport Transversal alpha build_transversal
-        gamma_iterate hall_check_gamma simulate verify_transversal
-    """,
-    "errors": """
-        FamilyFormatError FamilyIndexError FullFamilyError HallViolationError
-        OracleBoundsError PatternNotFoundError ProjclassError UndecidableFamilyError
-        WindowTooLargeError
-    """,
-    "euler": """
-        MultilinearPoly chern_vector euler_class indicator_vector sdr_count
-        tensor_line_bundles
-    """,
-    "family": """
-        Constant DisjointBlocks FiniteFamily ProjectionFamily eval_set
-        expand_multiplicity family_to_doc index_set parse_family reindex_to_odd window
-    """,
-    "hall": """
-        INFINITE BipartiteIncidence Infinite MinorizationDecision SurplusReport
-        decide_trivial_minorization max_matching max_surplus sdr_exists
-    """,
+    "classify": "classify compute_N",
+    "dynamics": "simulate",
+    "errors": "ProjclassError",
+    "euler": "euler_class sdr_count",
+    "family": "Constant DisjointBlocks FiniteFamily ProjectionFamily parse_family",
+    "hall": "INFINITE decide_trivial_minorization",
 }
 _SOURCE_OF = {name: module for module, names in _SOURCES.items() for name in names.split()}
 

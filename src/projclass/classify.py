@@ -21,6 +21,7 @@ ten surplus samples of a full family are read off one profile.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import cache, partial
 from typing import NamedTuple
 
 from .errors import FullFamilyError, PatternNotFoundError
@@ -28,10 +29,8 @@ from .family import Constant, ProjectionFamily, window
 from .hall import (  # noqa: F401  SurplusSup, surplus_window_bound: re-exported
     INFINITE,
     Infinite,
-    MinorizationDecision,
     SurplusProfile,
     SurplusSup,
-    decide_trivial_minorization,
     surplus_sup,
     surplus_window_bound,
     unbounded_multiplicity,
@@ -67,13 +66,15 @@ class TightSet(NamedTuple):
 
 
 def find_tight_set(fam: ProjectionFamily) -> TightSet:
-    """Canonical minimal witness of the maximal multiplicity-1 surplus."""
-    sup = surplus_sup(fam, 1)
+    """Canonical minimal witness of the maximal multiplicity-1 surplus.
+
+    Empty at surplus 0: every position is matched, so the last layering has no root.
+    """
+    profile = SurplusProfile(fam, 1)
+    sup = profile.sup()
     if isinstance(sup.value, Infinite):
         raise FullFamilyError("family is full; no tight set")
-    if sup.value == 0:
-        return TightSet((), 0)
-    return TightSet(sup.witness_F, sup.value)
+    return TightSet(profile.witness(sup.window), sup.value)
 
 
 def _strict_sample_start(fam: ProjectionFamily) -> int:
@@ -181,25 +182,26 @@ def verify_minorization_pattern(fam: ProjectionFamily, m_max: int = 4) -> Patter
     position of size s alone has surplus hi - s >= 1 at hi.  Only a family
     with no positions has no such l.
     """
+    profile = cache(partial(SurplusProfile, fam))
     first = window(fam, len(fam.prefix) + (fam.tail is not None)).sets
     rows = []
     for m in range(1, m_max + 1):
-        n_threshold = compute_N(fam, m)
-        if isinstance(n_threshold, Infinite):
+        sup = profile(m).sup().value
+        if isinstance(sup, Infinite):
             raise FullFamilyError("family is full")
-        blocked = not decide_trivial_minorization(fam, n_threshold, m).decision
+        n_threshold = sup + 1
+
+        def fits(n: int) -> bool:
+            value = profile(n).sup().value
+            return isinstance(value, Infinite) or value >= n_threshold
+
+        blocked = not fits(m)
         if not blocked:
             raise AssertionError(f"threshold N({m}) = {n_threshold} is not minimal")
         hi = max(m, min(map(len, first), default=m)) + 1
-        probes: dict[int, MinorizationDecision] = {}
-
-        def fits(n: int) -> bool:
-            probes[n] = decide_trivial_minorization(fam, n_threshold, n)
-            return probes[n].decision
-
         l = bisect_left(range(hi + 1), True, lo=m + 1, key=fits)
         if l > hi:
             raise PatternNotFoundError("pattern not found: the family has no positions")
-        dec = probes[l]  # bisect_left returns a probed l unless it ran past hi
-        rows.append(PatternRow(m, n_threshold, blocked, l, dec.window, dec.certificate.max_surplus))
+        l_window = profile(l).reach(n_threshold)
+        rows.append(PatternRow(m, n_threshold, blocked, l, l_window, profile(l).surplus(l_window)))
     return PatternReport(tuple(rows))

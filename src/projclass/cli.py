@@ -30,7 +30,7 @@ from .errors import (
     WindowTooLargeError,
 )
 from .family import ProjectionFamily, parse_family
-from .hall import decide_trivial_minorization, surplus_sup
+from .hall import SurplusProfile, decide_trivial_minorization
 
 # classify, dynamics, euler and oracle are imported by the subcommands that
 # use them, so the other subcommands never load them.
@@ -115,15 +115,16 @@ def cmd_classify(args) -> tuple[dict, int]:
 
 def cmd_nbound(args) -> tuple[dict, int]:
     fam = _load_family(args.family)
-    sup = surplus_sup(fam, args.m)
-    if sup.witness_F is None:
+    profile = SurplusProfile(fam, args.m)
+    sup = profile.sup()
+    if sup.window is None:
         return {"m": args.m, "N": "infinite", "unbounded_reason": sup.reason}, 0
     # N(m) = 1 + supremum, as in compute_N, from the one supremum computed here
     return {
         "m": args.m,
         "N": sup.value + 1,
         "window": sup.window,
-        "witness_F": list(sup.witness_F),
+        "witness_F": list(profile.witness(sup.window)),
         "attained_surplus": sup.value,
     }, 0
 

@@ -19,9 +19,9 @@ Around them sit the deciders used everywhere else:
     last Hopcroft-Karp layering reaches exactly that set and no free
     element: the last layering is the proof of maximality;
   * SurplusProfile: the window surplus S(t) of one family at one n, with its
-    supremum, its smallest reaching window and its certificates.  Past the
-    prefix S is arithmetic, and no window is matched twice.  surplus_sup
-    and surplus_window_bound each read one profile;
+    supremum, its smallest reaching window and, for printers only, its
+    certificates.  Past the prefix S is arithmetic, and no window is matched
+    twice.  surplus_sup and surplus_window_bound each read one profile;
   * decide_trivial_minorization: do m trivial rank-one summands embed under
     n copies of the family's projection, which holds exactly when some finite
     window reaches surplus m at multiplicity n.
@@ -257,27 +257,30 @@ class MinorizationDecision(NamedTuple):
         return doc
 
 
+def _blocks_below(tail: DisjointBlocks, n: int, k: int) -> int:
+    """How many of the first k tail blocks are smaller than n; sizes never fall, so they lead."""
+    if tail.a:
+        return min(k, max(0, (n - 1 - tail.b) // tail.a))
+    return k if tail.b < n else 0
+
+
 def _block_gain(tail: DisjointBlocks, n: int, k: int) -> int:
     """Surplus the first k tail blocks add: an arithmetic series of n - size(i) > 0."""
-    if tail.a:
-        k = min(k, max(0, (n - 1 - tail.b) // tail.a))
-    elif tail.b >= n:
-        return 0
+    k = _blocks_below(tail, n, k)
     return k * (n - tail.b) - tail.a * k * (k + 1) // 2
 
 
 class SurplusSup(NamedTuple):
     """Outcome of the surplus supremum at one multiplicity.
 
-    Finite case: `window` attains the value and `witness_F` lists an
-    attaining subset's positions; no matching is built.  Unbounded case:
-    `reason` states which tail shape forces growth.
+    Finite case: `window` attains the value, and neither a witness nor a
+    matching is built: SurplusProfile.witness(window) lists one.  Unbounded
+    case: `reason` states which tail shape forces growth.
     """
 
     n: int
     value: int | Infinite
     window: int | None
-    witness_F: tuple[int, ...] | None
     reason: str | None
 
 
@@ -319,6 +322,7 @@ class SurplusProfile:
     so block i adds max(0, n - size(i)) whatever else is chosen; a subset
     holding one copy of a constant tail C may as well hold them all, so
     S(p + k) = max(S0, SC + n*k) with SC = max_surplus(prefix minus C) - |C|.
+    Only witness(t) and report(t), which the printers call, build positions.
     """
 
     def __init__(self, fam: ProjectionFamily, n: int):
@@ -350,10 +354,10 @@ class SurplusProfile:
         fam, tail, n, p = self.fam, self.fam.tail, self.n, self.p
         start = unbounded_multiplicity(fam)
         if start is not None and n >= start:
-            return SurplusSup(n, INFINITE, None, None, _unbounded_reason(fam, n))
-        k = max(0, (n - 1 - tail.b) // tail.a) if isinstance(tail, DisjointBlocks) and tail.a else 0
-        witness = self._match(p).witness_F + tuple(range(p + 1, p + k + 1))
-        return SurplusSup(n, self.surplus(p + k), p + k, witness, None)
+            return SurplusSup(n, INFINITE, None, _unbounded_reason(fam, n))
+        # growing block i holds at least i identifiers: those below n are among the first n
+        k = _blocks_below(tail, n, n) if isinstance(tail, DisjointBlocks) else 0
+        return SurplusSup(n, self.surplus(p + k), p + k, None)
 
     def reach(self, target: int) -> int:
         """The smallest window t with S(t) >= target, by one bisection of S.
@@ -374,19 +378,27 @@ class SurplusProfile:
             lo, hi = p + 1, p + target + (len(tail.members) if isinstance(tail, Constant) else 0)
         return bisect_left(range(hi), target, lo=lo, key=self.surplus)
 
+    def witness(self, t: int) -> tuple[int, ...]:
+        """The minimal witness of S(t), as max_surplus gives it; past the prefix, from counts."""
+        tail, p = self.fam.tail, self.p
+        if t <= p or not isinstance(tail, DisjointBlocks):
+            return self._match(t).witness_F
+        below = _blocks_below(tail, self.n, t - p)
+        return self._match(p).witness_F + tuple(range(p + 1, p + 1 + below))
+
     def report(self, t: int) -> SurplusReport:
         """max_surplus(window(fam, t), n), field for field.
 
-        Past the prefix of a block tail the kept prefix report is extended:
-        block i joins the witness exactly when size(i) < n, and its copy
-        c <= min(n, size(i)) sits at expanded position (p+i-1)*n + c matched
-        to the block's c-th smallest identifier, as max_surplus numbers it.
+        Past the prefix of a block tail the kept prefix report is extended
+        by witness(t), and block i's copy c <= min(n, size(i)) sits at
+        expanded position (p+i-1)*n + c matched to the block's c-th smallest
+        identifier, as max_surplus numbers it.
         """
         tail, p, n = self.fam.tail, self.p, self.n
         if t <= p or not isinstance(tail, DisjointBlocks):
             return self._match(t)
+        witness = self.witness(t)  # first: past ssize_t it raises, where the matching runs on
         rep, blocks = self._match(p), range(1, t - p + 1)
-        witness = rep.witness_F + tuple(p + i for i in blocks if tail.size(i) < n)
         matching = rep.matching + tuple(
             ((p + i - 1) * n + c, tail.first(i) + tail.stride * (c - 1))
             for i in blocks

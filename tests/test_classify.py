@@ -21,6 +21,7 @@ from projclass.classify import (
     surplus_window_bound,
     verify_minorization_pattern,
 )
+from projclass import hall
 from projclass.errors import (
     FullFamilyError,
     PatternNotFoundError,
@@ -60,6 +61,24 @@ def test_compute_N_triangular_small():
 
 def test_compute_N_constant_tail_unbounded():
     assert compute_N(CONSTANT_ONE, 1) is INFINITE
+
+
+def test_compute_N_at_a_multiplicity_past_ssize_t():
+    # 10**20 - 1 blocks lie below the multiplicity; they are summed, never listed
+    assert compute_N(triangular(), 10**20) == 10**20 * (10**20 - 1) // 2 + 1
+
+
+def test_classify_builds_only_the_tight_sets_witness(monkeypatch):
+    # the N table reads values alone; F0, at multiplicity 1, is the one
+    # witness classify prints
+    built = []
+    witness = hall.SurplusProfile.witness
+    monkeypatch.setattr(
+        hall.SurplusProfile, "witness", lambda self, t: built.append(self.n) or witness(self, t)
+    )
+    got = classify(triangular(), 200)
+    assert got.n_table[200] == 200 * 199 // 2 + 1 and got.tight_set.positions == ()
+    assert built == [1]
 
 
 def test_compute_N_is_quadratic_for_growing_blocks():

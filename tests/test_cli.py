@@ -334,6 +334,8 @@ FINITE_FILE = os.path.join(os.path.dirname(__file__), "golden", "families", "fin
         # a finite family is matched at the full multiplicity: it must decide
         ("analyze", "--family", "FINITE", "--m", "3", "--n"),
         ("nbound", "--family", "FINITE", "--m"),
+        # negative at both values: the supremum's witness is printed
+        ("analyze", "--family", "TRI", "--m", str(10**41), "--n"),
     ],
 )
 def test_no_traceback_at_huge_integers(tri_file, argv, value):

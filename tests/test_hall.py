@@ -16,7 +16,7 @@ from conftest import (
     triangular,
 )
 from projclass import hall
-from projclass.classify import LABEL_FULL, classify
+from projclass.classify import LABEL_FULL, classify, verify_minorization_pattern
 from projclass.family import (
     Constant,
     DisjointBlocks,
@@ -290,17 +290,41 @@ def test_reaching_window_found_by_bisection(monkeypatch):
 
 def test_surplus_sup_matches_only_the_prefix(monkeypatch):
     # the 3999 blocks smaller than 4000 are summed, not expanded: one
-    # matching of the empty prefix and no certificate
+    # matching of the empty prefix and no certificate; the witness, built on
+    # request, reads the same matching
     calls = count_matchings(monkeypatch)
     certificates = []
     report = hall.SurplusProfile.report
     monkeypatch.setattr(
         hall.SurplusProfile, "report", lambda self, t: certificates.append(t) or report(self, t)
     )
-    sup = hall.surplus_sup(triangular(), 4000)
+    profile = hall.SurplusProfile(triangular(), 4000)
+    sup = profile.sup()
     assert (sup.value, sup.window) == (7_998_000, 3999)
-    assert sup.witness_F == tuple(range(1, 4000))
+    assert profile.witness(3999) == tuple(range(1, 4000))
     assert calls == [0] and certificates == []
+
+
+def test_positive_answer_builds_no_supremum_witness():
+    # the supremum's window holds 10**20 - 1 blocks, a witness past ssize_t;
+    # the answer's window is 1
+    dec = decide_trivial_minorization(triangular(), 1, 10**20)
+    assert dec.decision and dec.window == 1
+    assert dec.certificate.witness_F == (1,)
+    assert dec.certificate.matching == ((1, 1),)
+
+
+def test_pattern_matches_each_window_once_per_multiplicity(monkeypatch):
+    # N(m), fitting at each probed l and the row's window all read one
+    # profile per multiplicity: 11 distinct (window, n) pairs, one matching each
+    fam = ProjectionFamily(
+        (frozenset({1, 2}), frozenset({2, 3}), frozenset({3, 4}), frozenset({1})),
+        DisjointBlocks(1, 0, 5),
+    )
+    calls = count_matchings(monkeypatch)
+    rows = verify_minorization_pattern(fam, 4).rows
+    assert [(r.n_threshold, r.l) for r in rows] == [(1, 2), (6, 3), (12, 4), (19, 5)]
+    assert len(calls) == 11
 
 
 @pytest.mark.parametrize(
