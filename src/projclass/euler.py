@@ -8,15 +8,16 @@ monomials.
 
 For the 0/1 vectors that come from index sets no cancellation can occur, and
 the class vanishes exactly when the sets admit no system of distinct
-representatives.  The representative count itself is the permanent of the
-incidence matrix.  Both facts make this module an oracle that is independent
-of the matching engine: same questions, disjoint machinery.
+representatives.  The representative count is the permanent of the incidence
+matrix, Ryser's table dotted with ryser_weights.  Both facts make this module
+an oracle independent of matching: same questions, disjoint machinery.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from math import comb
+from operator import mul
 from typing import Iterable, Mapping
 
 from .errors import FamilyFormatError, OracleBoundsError
@@ -252,7 +253,7 @@ def sdr_count(fam: FiniteFamily) -> int:
 
     This is the permanent of the position-by-ground incidence matrix, by
     Ryser's formula over the union of the sets, whose k-th sorted element
-    is bit 1 << k.  Its table of 2^|ground| products is built one set at a time.
+    is bit 1 << k: ryser_weights dotted with its table of 2^|ground| products.
     """
     if len(fam.sets) > len(fam.ground):
         return 0
@@ -260,7 +261,7 @@ def sdr_count(fam: FiniteFamily) -> int:
     table = [1] * (1 << len(bit))
     for s in fam.sets:
         table = ryser_extend(table, sum(bit[e] for e in s))
-    return ryser_permanent(table, len(fam.sets))
+    return sum(map(mul, ryser_weights(len(bit), len(fam.sets)), table))
 
 
 def ryser_extend(table: list[int], row_mask: int) -> list[int]:
@@ -272,25 +273,14 @@ def ryser_extend(table: list[int], row_mask: int) -> list[int]:
     return [p * (s & row_mask).bit_count() for s, p in enumerate(table)]
 
 
-def ryser_permanent(table: list[int], t: int) -> int:
-    """The permanent of t rows from their table, by its sums over subsets of each size."""
-    by_size = [0] * len(table).bit_length()
-    for s, p in enumerate(table):
-        if p:
-            by_size[s.bit_count()] += p
-    return ryser_by_size(by_size, t)
+def ryser_weights(g: int, t: int, avoid: int = 0) -> list[int]:
+    """Ryser's weight at every subset S, as a mask, of a g-element ground.
 
-
-def ryser_by_size(by_size: list[int], t: int) -> int:
-    """The permanent of t rows from by_size[k], their table summed over subsets of size k.
-
-    by_size runs over k = 0..g for a ground of size g.  For t <= g, rectangular inclusion-exclusion over ground subsets S:
-
-        per = sum over S of (-1)^(t - |S|) * C(g - |S|, g - t) * table[S]
-
-    The binomial vanishes for |S| > t.  Exact over Python integers.
+    Dotted with the Ryser table of t rows, they give the rows' permanent on
+    the ground less avoid (a mask): with h = g - popcount(avoid), the weight
+    is (-1)^(t - |S|) * C(h - |S|, h - t) if S misses avoid and |S| <= t <= h,
+    else the int 0, never a float from a negative power of -1.
     """
-    g = len(by_size) - 1
-    if t > g:
-        return 0
-    return sum((-1) ** (t - k) * comb(g - k, g - t) * by_size[k] for k in range(t + 1))
+    h = g - avoid.bit_count()
+    by_size = [(-1) ** (t - k) * comb(h - k, h - t) if k <= t <= h else 0 for k in range(g + 1)]
+    return [0 if s & avoid else by_size[s.bit_count()] for s in range(1 << g)]

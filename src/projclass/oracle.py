@@ -18,9 +18,9 @@ rejects exactly the M inside one mask x, and answers every ^ below[x].
   0/1 forms, so P's coefficients are positive, nothing cancels, and the
   product vanishes exactly when M lies inside every support of P.
 - Permanent: a node keeps Ryser's products over the 2^max_ground subsets of
-  the ground.  Along the new row, the child's SDRs are the parent's that
-  avoid an element of M, an exact count: none exactly when M lies inside
-  the elements every parent SDR uses.
+  the ground.  The child's SDRs are, over e in M, the parent's that avoid e:
+  euler.ryser_weights less e dotted with that table, an exact count.  There
+  are none exactly when M lies inside the elements every parent SDR uses.
 - Sweep: m + {new} is deficient exactly when |m| >= popcount(u_m | M), from
   the parent's unions u_m; the parent's deficient subsets stay deficient.
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 from functools import cache, partial, reduce
-from operator import and_, ge, or_, sub
+from operator import and_, ge, mul, or_
 from typing import Iterator, NamedTuple, Sequence
 
 from . import euler, hall
@@ -41,6 +41,11 @@ from .family import FiniteFamily
 # oracle-check refuses when its cases times 2 ** max_ground, the products in
 # one Ryser table, pass this
 ORACLE_WORK_CAP = 1 << 24
+
+# Ryser's weights per (ground, sets, avoided element) for _avoiding.  The caps
+# keep a walked ground at g <= 12 (2^g cases, shifted left by g, stay within
+# ORACLE_WORK_CAP) and its parents at <= 6 sets: <= 7 * 12 lists of <= 4096.
+_weights = cache(euler.ryser_weights)
 
 
 def oracle_check(max_sets: int, max_ground: int, random_cases: int, seed: int) -> dict:
@@ -220,25 +225,9 @@ def _reach(owner: dict[int, int], unions: list[int], ground: int) -> int:
 
 
 def _avoiding(node: _Node) -> dict[int, int]:
-    """node's representative systems that avoid e, for each ground element e as its bit.
-
-    That is Ryser's sum over the ground less e, whose table is node's at the
-    subsets that miss e; by size, the sums over all subsets less those over
-    the ones that hold e.
-    """
+    """node's representative systems that avoid e, for each ground element e as its bit."""
     t, g = len(node.sets), len(node.table).bit_length() - 1
-    size_sum = [0] * (g + 1)
-    holding = {1 << i: [0] * (g + 1) for i in range(g)}
-    for s, p in enumerate(node.table):
-        if p:
-            a = s.bit_count()
-            size_sum[a] += p
-            while s:
-                low = s & -s
-                holding[low][a] += p
-                s ^= low
-    # no subset that misses e has all g elements: drop size g
-    return {b: euler.ryser_by_size(list(map(sub, size_sum[:g], h)), t) for b, h in holding.items()}
+    return {1 << i: sum(map(mul, _weights(g, t, 1 << i), node.table)) for i in range(g)}
 
 
 def _four_way_agree(sets: tuple[frozenset[int], ...]) -> bool:

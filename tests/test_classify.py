@@ -7,6 +7,7 @@ from conftest import (
     CONSTANT_ONE,
     SINGLETON_BLOCKS,
     block_families,
+    brute_max_surplus,
     padded_triangular,
     triangular,
 )
@@ -298,6 +299,21 @@ def test_verify_minorization_pattern_bisects_the_least_l(fam, m_max):
         scan = (decide_trivial_minorization(fam, r.n_threshold, l) for l in count(r.m + 1))
         dec = next(d for d in scan if d.decision)
         assert (r.l, r.l_window, r.l_surplus) == (dec.n, dec.window, dec.certificate.max_surplus)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fam=block_families(finite=True), m_max=st.integers(1, 4))
+def test_verify_minorization_pattern_rows_hold_to_brute_force(fam, m_max):
+    # each row against brute_max_surplus, which shares no code with the
+    # engine: N(m) is blocked at m, l is the least multiplicity admitting
+    # it, and l_window the least window that does at l
+    assume(fam.prefix)
+    sets = fam.prefix
+    for r in verify_minorization_pattern(fam, m_max).rows:
+        assert r.n_threshold == brute_max_surplus(sets, r.m) + 1
+        assert brute_max_surplus(sets, r.l) >= r.n_threshold > brute_max_surplus(sets, r.l - 1)
+        assert brute_max_surplus(sets[: r.l_window], r.l) == r.l_surplus >= r.n_threshold
+        assert r.n_threshold > brute_max_surplus(sets[: r.l_window - 1], r.l)
 
 
 def test_pattern_report_doc():

@@ -1,7 +1,7 @@
 import itertools
 import json
 from functools import reduce
-from math import comb
+from math import comb, perm
 from pathlib import Path
 
 import pytest
@@ -115,6 +115,27 @@ def test_euler_is_multiplicative_over_concatenation(a, b):
 )
 def test_sdr_count_matches_backtracking(sets):
     assert sdr_count(FiniteFamily(sets)) == brute_sdr_count(sets)
+
+
+def test_sdr_count_is_an_exact_int():
+    # 14 rows on 16 elements: Ryser's weights at sizes past 14 must be the
+    # int 0, never a float from a negative power of -1, or the sum rounds
+    got = sdr_count(FiniteFamily([range(1, 17)] * 14))
+    assert got == perm(16, 14) and type(got) is int
+
+
+@given(sets=families, avoid=st.frozensets(st.integers(1, 6)))
+def test_ryser_weights_count_the_systems_that_avoid_a_set(sets, avoid):
+    # the weights that avoid a mask, dotted with the table, count the
+    # systems on the ground less the mask's elements
+    g = 6
+    table = [1] * (1 << g)
+    for s in sets:
+        table = euler.ryser_extend(table, sum(1 << (e - 1) for e in s))
+    mask = sum(1 << (e - 1) for e in avoid)
+    weights = euler.ryser_weights(g, len(sets), mask)
+    assert all(type(w) is int for w in weights)
+    assert sum(w * p for w, p in zip(weights, table)) == brute_sdr_count([s - avoid for s in sets])
 
 
 @given(sets=families)
