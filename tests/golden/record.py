@@ -1,8 +1,11 @@
 """Record the golden CLI outputs: python tests/golden/record.py
 
 Runs every invocation in cases.json through projclass.cli.main and writes
-its stdout to expected/<name>.out and its exit code into the case.  Only
-re-record when an output change is intended, and say why in CHANGES.md.
+its stdout to expected/<name>.out and its exit code into the case.  It also
+writes random_analyze.json: seeded small random `analyze` requests, each
+with the stdout and exit code main gives it, which pin the printed matchings
+of families the named cases do not cover.  Only re-record when an output
+change is intended, and say why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -11,7 +14,9 @@ import contextlib
 import io
 import json
 import os
+import random
 import sys
+import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, "..", "..", "src"))
@@ -31,6 +36,30 @@ def run_case(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def random_analyze_requests(count: int = 300, seed: int = 2026) -> list[dict]:
+    """Prefixes of up to 6 sets over up to 6 identifiers, no tail or a block tail, m and n in 1..10."""
+    rng = random.Random(seed)
+    requests = []
+    for _ in range(count):
+        g = rng.randint(1, 6)
+        prefix = [sorted(rng.sample(range(1, g + 1), rng.randint(0, g))) for _ in range(rng.randint(0, 6))]
+        if rng.random() < 0.5:
+            tail = {"kind": "none"}
+        else:
+            a, b = rng.choice([(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)])
+            tail = {"kind": "disjoint_blocks", "a": a, "b": b, "start": g + 1}
+        family = {"prefix": prefix, "tail": tail}
+        requests.append({"family": family, "m": rng.randint(1, 10), "n": rng.randint(1, 10)})
+    return requests
+
+
+def run_analyze(request: dict, directory: str) -> tuple[int, str]:
+    path = os.path.join(directory, "family.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(request["family"], fh)
+    return run_case(["analyze", "--family", path, "--m", str(request["m"]), "--n", str(request["n"])])
+
+
 def load_cases() -> list[dict]:
     with open(os.path.join(HERE, "cases.json"), encoding="utf-8") as fh:
         return json.load(fh)
@@ -46,4 +75,10 @@ if __name__ == "__main__":
             fh.write(out)
     with open(os.path.join(HERE, "cases.json"), "w", encoding="utf-8") as fh:
         fh.write("[\n" + ",\n".join("  " + json.dumps(c) for c in cases) + "\n]\n")
-    print(f"recorded {len(cases)} cases")
+    requests = random_analyze_requests()
+    with tempfile.TemporaryDirectory() as tmp:
+        for request in requests:
+            request["exit"], request["out"] = run_analyze(request, tmp)
+    with open(os.path.join(HERE, "random_analyze.json"), "w", encoding="utf-8") as fh:
+        fh.write("[\n" + ",\n".join("  " + json.dumps(r) for r in requests) + "\n]\n")
+    print(f"recorded {len(cases)} cases and {len(requests)} random analyze requests")

@@ -44,3 +44,16 @@ def test_printed_certificate_replays(capsys, case):
     doc = json.loads(capsys.readouterr().out)
     fam = parse_family(json.loads(family.read_text(encoding="utf-8")))
     assert_certificate_replays(fam, doc)
+
+
+RANDOM_ANALYZE = json.loads((GOLDEN / "random_analyze.json").read_text(encoding="utf-8"))
+
+
+def test_random_analyze_outputs(capsys, tmp_path):
+    # seeded small random families (record.py): any change to a printed
+    # matching outside the named cases shows up here
+    family = tmp_path / "family.json"
+    for request in RANDOM_ANALYZE:
+        family.write_text(json.dumps(request["family"]), encoding="utf-8")
+        code = main(["analyze", "--family", str(family), "--m", str(request["m"]), "--n", str(request["n"])])
+        assert (code, capsys.readouterr().out) == (request["exit"], request["out"]), request
