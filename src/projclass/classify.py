@@ -172,36 +172,34 @@ class PatternReport(NamedTuple):
 def verify_minorization_pattern(fam: ProjectionFamily, m_max: int = 4) -> PatternReport:
     """Exhibit, for each m <= m_max, the finite-but-not-stably-finite pattern.
 
-    Confirms that N(m) trivial summands do not fit under m copies, then
-    finds the least l > m under which they do, by bisection: fitting is
-    monotone in l, because n|F| - |union of F| grows with n.  Only meaningful
-    for non-full families.  The least l is at most hi = max(m, s) + 1, s the
-    smallest set among the first p + 1 positions (p the prefix length; the
-    first p without a tail).  If sup(m) >= 1 its witness F is nonempty, so
-    sup(m + 1) >= sup(m) + |F| >= N(m).  If sup(m) = 0 then N(m) = 1, and one
-    position of size s alone has surplus hi - s >= 1 at hi.  Only a family
-    with no positions has no such l.
+    N(m) = sup(m) + 1 trivial summands do not fit under m copies, by the
+    supremum's definition; the row gives the least l > m under which they
+    do.  Only meaningful for non-full families.  That l is max(m + 1, l0),
+    l0 the least multiplicity with a positive surplus.  If sup(m) >= 1 its
+    witness F is nonempty, so sup(m + 1) >= sup(m) + |F| >= N(m).  If
+    sup(m) = 0 then N(m) = 1 and m < l0.  The surplus grows with the
+    multiplicity, so l0 is one bisection over 1..s + 1, s the smallest set
+    among the first p + 1 positions (p the prefix length; the first p without
+    a tail): one position of size s alone has surplus 1 at s + 1.  Only a
+    family with no positions has no l0.
     """
     profile = cache(partial(SurplusProfile, fam))
     first = window(fam, len(fam.prefix) + (fam.tail is not None)).sets
+    s = min(map(len, first), default=0)
+
+    def positive(n: int) -> bool:
+        value = profile(n).sup().value
+        return isinstance(value, Infinite) or value >= 1
+
+    l0 = bisect_left(range(s + 2), True, lo=1, key=positive)
+    if l0 > s + 1:
+        raise PatternNotFoundError("pattern not found: the family has no positions")
     rows = []
     for m in range(1, m_max + 1):
         sup = profile(m).sup().value
         if isinstance(sup, Infinite):
             raise FullFamilyError("family is full")
-        n_threshold = sup + 1
-
-        def fits(n: int) -> bool:
-            value = profile(n).sup().value
-            return isinstance(value, Infinite) or value >= n_threshold
-
-        blocked = not fits(m)
-        if not blocked:
-            raise AssertionError(f"threshold N({m}) = {n_threshold} is not minimal")
-        hi = max(m, min(map(len, first), default=m)) + 1
-        l = bisect_left(range(hi + 1), True, lo=m + 1, key=fits)
-        if l > hi:
-            raise PatternNotFoundError("pattern not found: the family has no positions")
-        l_window = profile(l).reach(n_threshold)
-        rows.append(PatternRow(m, n_threshold, blocked, l, l_window, profile(l).surplus(l_window)))
+        l = max(m + 1, l0)
+        l_window = profile(l).reach(sup + 1)
+        rows.append(PatternRow(m, sup + 1, True, l, l_window, profile(l).surplus(l_window)))
     return PatternReport(tuple(rows))

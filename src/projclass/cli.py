@@ -3,10 +3,16 @@
 Subcommands map one-to-one onto the library deciders; every command reads a
 family document (or inline JSON), runs exactly one decision, and prints one
 JSON object with the certificate embedded.  Output is byte-deterministic for
-a given input and seed.  Exit codes: 0 on success, 2 on input errors, 1 when
-an internal guard or check trips, the oracles disagree, memory runs out, a
-computation or the printed document nests past the interpreter's recursion
-limit, or stdout is closed before the document is written.
+a given input and seed.
+
+Exit codes: 0 on success, 1 when the oracles disagree.  A failed request
+prints nothing on stdout, because main renders the whole document before it
+writes any of it, and one `error: ` line on stderr; _failure gives its code.
+A package error carries its own (errors.py).  Argument errors, malformed
+JSON, unreadable files, sizes past a machine integer and other ValueErrors,
+such as a printed integer past 4300 digits, exit 2.  Running out of memory,
+nesting past the recursion limit, a failed internal check, any other
+exception, and stdout closed before the document is written exit 1.
 
 The orbit entry cap honours the PROJCLASS_ENTRY_CAP environment variable.
 """
@@ -17,19 +23,10 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import NoReturn, Sequence
 
-from .errors import (
-    FamilyFormatError,
-    FamilyIndexError,
-    FullFamilyError,
-    HallViolationError,
-    OracleBoundsError,
-    ProjclassError,
-    UndecidableFamilyError,
-    WindowTooLargeError,
-)
-from .family import ProjectionFamily, parse_family
+from .errors import FamilyFormatError, ProjclassError
+from .family import ProjectionFamily, index_set, parse_family
 from .hall import SurplusProfile, decide_trivial_minorization
 
 # classify, dynamics, euler and oracle are imported by the subcommands that
@@ -55,9 +52,8 @@ def _loads(text: str) -> object:
 
 
 def _load_family(path: str) -> ProjectionFamily:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_family(_loads(text))
+    with open(path, encoding="utf-8") as fh:
+        return parse_family(_loads(fh.read()))
 
 
 def _render_text(doc: object, indent: int = 0) -> list[str]:
@@ -93,11 +89,10 @@ def _flat(value: object) -> str:
     return json.dumps(value, sort_keys=True)
 
 
-def _emit(doc: dict, fmt: str) -> None:
+def _render(doc: dict, fmt: str) -> str:
     if fmt == "text":
-        print("\n".join(_render_text(doc)))
-    else:
-        print(json.dumps(doc, sort_keys=True))
+        return "\n".join(_render_text(doc))
+    return json.dumps(doc, sort_keys=True)
 
 
 def cmd_analyze(args) -> tuple[dict, int]:
@@ -138,7 +133,7 @@ def cmd_euler(args) -> tuple[dict, int]:
     bundles = []
     for entry in bundles_doc:
         if isinstance(entry, list):
-            bundles.append(indicator_vector(frozenset(_positive_ints(entry))))
+            bundles.append(indicator_vector(index_set(entry)))
         elif isinstance(entry, dict):
             bundles.append(_coefficient_map(entry))
         else:
@@ -166,22 +161,12 @@ def _coefficient_map(entry: dict) -> dict[int, object]:
     return out
 
 
-def _positive_ints(entries: list) -> list[int]:
-    for e in entries:
-        if not isinstance(e, int) or isinstance(e, bool) or e < 1:
-            raise FamilyFormatError(f"bundle coordinates must be positive integers, got {e!r}")
-    return entries
-
-
 def cmd_endo_sim(args) -> tuple[dict, int]:
     from .dynamics import DEFAULT_ENTRY_CAP, simulate
 
     fam = _load_family(args.family)
     cap = int(os.environ.get("PROJCLASS_ENTRY_CAP", DEFAULT_ENTRY_CAP))
-    try:
-        report = simulate(fam, args.depth, args.window, args.prefix, cap)
-    except ValueError as exc:
-        raise FamilyFormatError(str(exc))
+    report = simulate(fam, args.depth, args.window, args.prefix, cap)
     doc = report.to_doc()
     if args.dump_assignment:
         doc["assignment"] = report.transversal.to_doc()
@@ -200,8 +185,15 @@ def oracle_check(max_sets: int, max_ground: int, random_cases: int, seed: int) -
     return check(max_sets, max_ground, random_cases, seed)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error is one `error:` line and exit 2, as any refused request."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="projclass",
         description="Exact deciders for diagonal projection families.",
     )
@@ -245,60 +237,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _too_deep() -> int:
-    print("error: input nests too deeply for the interpreter's recursion limit", file=sys.stderr)
-    return 1
-
-
-def _out_of_memory() -> int:
-    print("error: out of memory", file=sys.stderr)
-    return 1
+def _failure(exc: Exception) -> tuple[int, str]:
+    """The exit code and the one-line message of a request that raised exc."""
+    if isinstance(exc, ProjclassError):
+        return exc.exit_code, str(exc)
+    if isinstance(exc, json.JSONDecodeError):
+        return 2, f"malformed JSON: {exc}"
+    if isinstance(exc, OverflowError):
+        # a requested count or multiplicity sized a range or tuple past ssize_t
+        return 2, "a requested size does not fit in a machine integer"
+    if isinstance(exc, (OSError, ValueError)):
+        return 2, str(exc)
+    if isinstance(exc, MemoryError):
+        return 1, "out of memory"
+    if isinstance(exc, RecursionError):
+        # a computation, or a dumped orbit term the renderers recurse through
+        return 1, "input nests too deeply for the interpreter's recursion limit"
+    if isinstance(exc, AssertionError):
+        return 1, f"internal check failed: {exc}"
+    return 1, f"internal error: {type(exc).__name__}: {exc}"
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         doc, code = args.handler(args)
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
-        return 2
-    except (WindowTooLargeError, HallViolationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (
-        FamilyFormatError,
-        FamilyIndexError,
-        UndecidableFamilyError,
-        FullFamilyError,
-        OracleBoundsError,
-        OSError,
-        ValueError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ProjclassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except AssertionError as exc:
-        print(f"error: internal check failed: {exc}", file=sys.stderr)
-        return 1
-    except OverflowError:
-        # a requested count or multiplicity sized a range or tuple past ssize_t
-        print("error: a requested size does not fit in a machine integer", file=sys.stderr)
-        return 2
-    except MemoryError:
-        return _out_of_memory()
-    except RecursionError:
-        return _too_deep()
+        text = _render(doc, args.format)
+    except Exception as exc:
+        code, message = _failure(exc)
+        print(f"error: {message}", file=sys.stderr)
+        return code
     try:
-        _emit(doc, args.format)
-    except MemoryError:
-        return _out_of_memory()
-    except RecursionError:
-        # a dumped orbit term can nest past what json.dumps or the text
-        # renderer recurse through; nothing has been written yet
-        return _too_deep()
+        print(text)
     except BrokenPipeError:
         # the reader went away; send what is still buffered to the null
         # device so that the flush at interpreter exit cannot fail again

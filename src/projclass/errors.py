@@ -1,14 +1,18 @@
 """Exception hierarchy shared across the package.
 
-Input-shaped problems (bad documents, unsupported shapes, out-of-range
-queries) all derive from ProjclassError so the command line can map them to a
-single exit code; guard trips that signal resource limits or broken premises
-get their own classes.
+Every error the package raises derives from ProjclassError, and its class
+carries the command line's exit code: 2 for a request the program refuses
+(a bad document, an unsupported shape, an out-of-range query, a request past
+a size cap), 1 for a guard that trips while the request runs (the orbit
+entry cap, a Hall violation, a pattern with no positions).  cli.main maps
+every other exception once, in cli._failure.
 """
 
 
 class ProjclassError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2
 
 
 class FamilyFormatError(ProjclassError):
@@ -30,13 +34,19 @@ class FullFamilyError(ProjclassError):
 class WindowTooLargeError(ProjclassError):
     """An orbit window would exceed the configured entry cap."""
 
+    exit_code = 1
+
 
 class HallViolationError(ProjclassError):
     """A transversal matching turned out infeasible."""
 
+    exit_code = 1
+
 
 class PatternNotFoundError(ProjclassError):
     """No multiplicity exhibits the wanted pattern: the family has no positions."""
+
+    exit_code = 1
 
 
 class OracleBoundsError(ProjclassError):

@@ -26,12 +26,12 @@ def index_set(elements: Iterable[int]) -> IndexSet:
     hand-written documents surface early.
     """
     items = list(elements)
+    for e in items:  # before hashing: a nested array is unhashable
+        if not isinstance(e, int) or isinstance(e, bool) or e < 1:
+            raise FamilyFormatError(f"ground identifiers must be positive integers, got {e!r}")
     out = frozenset(items)
     if len(out) != len(items):
         raise FamilyFormatError(f"duplicate ground identifiers in {sorted(items, key=repr)!r}")
-    for e in out:
-        if not isinstance(e, int) or isinstance(e, bool) or e < 1:
-            raise FamilyFormatError(f"ground identifiers must be positive integers, got {e!r}")
     return out
 
 

@@ -341,7 +341,7 @@ class SurplusProfile:
         tail, p, n = self.fam.tail, self.p, self.n
         if t <= p or tail is None:
             return self._match(t).max_surplus
-        s0 = self._match(p).max_surplus
+        s0 = self._match(p).max_surplus if p else 0
         if isinstance(tail, DisjointBlocks):
             return s0 + _block_gain(tail, n, t - p)
         if self._held is None:

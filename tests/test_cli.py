@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from projclass import cli, euler, hall, oracle
 from projclass.cli import main, oracle_check
-from projclass.errors import OracleBoundsError
+from projclass.errors import HallViolationError, OracleBoundsError, PatternNotFoundError
 from projclass.euler import MultilinearPoly
 
 
@@ -66,6 +66,39 @@ def test_analyze_two_ones(capsys, two_ones_file):
     assert code == 0
     assert doc["decision"] is True
     assert doc["witness_F"] == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "exc, code, message",
+    [
+        (OracleBoundsError("too big"), 2, "too big"),
+        (HallViolationError("violated"), 1, "violated"),
+        (PatternNotFoundError("none"), 1, "none"),
+        (json.JSONDecodeError("Expecting value", "x", 0), 2, "malformed JSON: Expecting value: line 1 column 1 (char 0)"),
+        (OverflowError("huge"), 2, "a requested size does not fit in a machine integer"),
+        (FileNotFoundError("gone"), 2, "gone"),
+        (ValueError("bad"), 2, "bad"),
+        (MemoryError(), 1, "out of memory"),
+        (RecursionError(), 1, "input nests too deeply for the interpreter's recursion limit"),
+        (AssertionError("broken"), 1, "internal check failed: broken"),
+        (KeyError("k"), 1, "internal error: KeyError: 'k'"),
+    ],
+)
+def test_every_failure_is_one_line_with_its_code(capsys, monkeypatch, tri_file, exc, code, message):
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "decide_trivial_minorization", fail)
+    assert run(capsys, "analyze", "--family", tri_file, "--m", "1", "--n", "1") == (code, "", f"error: {message}\n")
+
+
+def test_argument_error_is_one_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--m", "1", "--n", "1"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: projclass analyze: the following arguments are required: --family\n"
 
 
 def test_analyze_rejects_bad_multiplicity(capsys, tri_file):

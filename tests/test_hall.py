@@ -305,6 +305,14 @@ def test_surplus_sup_matches_only_the_prefix(monkeypatch):
     assert calls == [0] and certificates == []
 
 
+def test_classify_without_prefix_matches_once(monkeypatch):
+    # the empty prefix has surplus 0 at every multiplicity, so the N table is
+    # arithmetic; the one matching is the empty prefix's, for F0's witness
+    calls = count_matchings(monkeypatch)
+    assert classify(triangular(), 200).n_table[200] == 200 * 199 // 2 + 1
+    assert calls == [0]
+
+
 def test_positive_answer_builds_no_supremum_witness():
     # the supremum's window holds 10**20 - 1 blocks, a witness past ssize_t;
     # the answer's window is 1
