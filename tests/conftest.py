@@ -1,4 +1,4 @@
-"""Shared builders and brute-force oracles.
+"""Shared builders, brute-force oracles and a CLI process runner.
 
 The oracles here share no code with the engine under test: surplus and
 matching are recomputed by direct subset or backtracking enumeration, and
@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
+import subprocess
+import sys
 
 from hypothesis import strategies as st
 
@@ -138,3 +141,12 @@ def assert_certificate_replays(fam: ProjectionFamily, doc: dict) -> None:
     assert len(pairs) == n * t - doc["max_surplus"]
     union = frozenset().union(*(sets[j - 1] for j in doc["witness_F"]))
     assert n * len(doc["witness_F"]) - len(union) == doc["max_surplus"]
+
+
+def cli_process(*argv: str) -> subprocess.CompletedProcess:
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "projclass.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )

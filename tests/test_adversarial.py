@@ -14,26 +14,20 @@ no request prints a traceback.
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import cli_process
+
 CASES = json.loads((Path(__file__).parent / "data" / "adversarial.json").read_text(encoding="utf-8"))
-SRC = str(Path(__file__).parent.parent / "src")
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_adversarial_request(tmp_path, case):
     family = tmp_path / "family.json"
     family.write_text(case.get("family", ""), encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "projclass.cli", *[str(family) if a == "FAMILY" else a for a in case["argv"]]],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = cli_process(*[str(family) if a == "FAMILY" else a for a in case["argv"]])
     assert "Traceback" not in proc.stderr
     assert (proc.returncode, proc.stdout) == (case["exit"], case["stdout"])
     if proc.returncode == 0:

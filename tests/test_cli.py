@@ -6,6 +6,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import cli_process
 from projclass import cli, euler, hall, oracle
 from projclass.cli import main, oracle_check
 from projclass.errors import HallViolationError, OracleBoundsError, PatternNotFoundError
@@ -70,6 +71,7 @@ def test_analyze_two_ones(capsys, two_ones_file):
 
 @pytest.mark.parametrize(
     "exc, code, message",
+    # the internal check and memory are test_internal_failures_exit_1_in_one_line's
     [
         (OracleBoundsError("too big"), 2, "too big"),
         (HallViolationError("violated"), 1, "violated"),
@@ -78,9 +80,7 @@ def test_analyze_two_ones(capsys, two_ones_file):
         (OverflowError("huge"), 2, "a requested size does not fit in a machine integer"),
         (FileNotFoundError("gone"), 2, "gone"),
         (ValueError("bad"), 2, "bad"),
-        (MemoryError(), 1, "out of memory"),
         (RecursionError(), 1, "input nests too deeply for the interpreter's recursion limit"),
-        (AssertionError("broken"), 1, "internal check failed: broken"),
         (KeyError("k"), 1, "internal error: KeyError: 'k'"),
     ],
 )
@@ -307,15 +307,6 @@ def test_closed_stdout_exits_cleanly(tmp_path):
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err and "Exception ignored" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
-
-
-def cli_process(*argv: str) -> subprocess.CompletedProcess:
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-m", "projclass.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
 
 
 @pytest.fixture

@@ -51,9 +51,11 @@ RANDOM_ANALYZE = json.loads((GOLDEN / "random_analyze.json").read_text(encoding=
 
 def test_random_analyze_outputs(capsys, tmp_path):
     # seeded small random families (record.py): any change to a printed
-    # matching outside the named cases shows up here
+    # matching outside the named cases shows up here, and each replays
     family = tmp_path / "family.json"
     for request in RANDOM_ANALYZE:
         family.write_text(json.dumps(request["family"]), encoding="utf-8")
         code = main(["analyze", "--family", str(family), "--m", str(request["m"]), "--n", str(request["n"])])
-        assert (code, capsys.readouterr().out) == (request["exit"], request["out"]), request
+        out = capsys.readouterr().out
+        assert (code, out) == (request["exit"], request["out"]), request
+        assert_certificate_replays(parse_family(request["family"]), json.loads(out))
