@@ -26,11 +26,10 @@ from typing import NamedTuple
 
 from .errors import FullFamilyError, PatternNotFoundError
 from .family import Constant, ProjectionFamily, window
-from .hall import (  # noqa: F401  SurplusSup, surplus_window_bound: re-exported
+from .hall import (  # noqa: F401  bench/tracing.py resolves classify.surplus_window_bound
     INFINITE,
     Infinite,
     SurplusProfile,
-    SurplusSup,
     surplus_sup,
     surplus_window_bound,
     unbounded_multiplicity,
@@ -38,11 +37,6 @@ from .hall import (  # noqa: F401  SurplusSup, surplus_window_bound: re-exported
 
 LABEL_NON_FULL = "non_full_stably_finite"
 LABEL_FULL = "full_stably_properly_infinite"
-
-
-def max_trivial_multiplicity(fam: ProjectionFamily) -> int | Infinite:
-    """Largest k with k trivial summands under one copy of Q; INFINITE if every k fits."""
-    return surplus_sup(fam, 1).value
 
 
 def compute_N(fam: ProjectionFamily, m: int) -> int | Infinite:

@@ -165,7 +165,11 @@ def cmd_endo_sim(args) -> tuple[dict, int]:
     from .dynamics import DEFAULT_ENTRY_CAP, simulate
 
     fam = _load_family(args.family)
-    cap = int(os.environ.get("PROJCLASS_ENTRY_CAP", DEFAULT_ENTRY_CAP))
+    raw = os.environ.get("PROJCLASS_ENTRY_CAP", str(DEFAULT_ENTRY_CAP))
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"PROJCLASS_ENTRY_CAP must be an integer, got {raw!r}") from None
     report = simulate(fam, args.depth, args.window, args.prefix, cap)
     doc = report.to_doc()
     if args.dump_assignment:

@@ -14,10 +14,11 @@ needs from the combinatorics.  None of it builds Gamma's sets:
 build_transversal matches the depth-1 layer, with the pool atoms reserved for
 the tight positions F0, and lifts the choice one layer at a time,
 t(alpha_j(I)) = nu(j, t(I)); verify_transversal reads membership in alpha's
-image off each term, layer by layer; and hall_ok comes from orbit_surplus,
-because the Gamma blocks under different outer layers j are disjoint and
-each shares only k + max(j, 0) fresh terms.  gamma_iterate and
-hall_check_gamma materialize Gamma and match it, as the tests' reference.
+image off each term, layer by layer.  An injective transversal is a system
+of distinct representatives, so it satisfies Hall's condition (Hall 1935):
+hall_ok is verify_transversal's answer, and no orbit window is matched.
+gamma_iterate and hall_check_gamma materialize Gamma and match it, as the
+tests' reference.
 
 Terms are hash-consed into positive integer ids by a TermTable, which one
 build_transversal or gamma_iterate call creates.  A term is a node
@@ -41,7 +42,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .classify import find_tight_set
 from .errors import HallViolationError, WindowTooLargeError
 from .family import FiniteFamily, ProjectionFamily, reindex_to_odd, window
-from .hall import augment, max_surplus, sdr_exists
+from .hall import augment, sdr_exists
 
 DEFAULT_ENTRY_CAP = 10_000
 
@@ -359,25 +360,9 @@ def hall_check_gamma(gamma: GammaFamily) -> bool:
     """Hall's condition on the materialized orbit family, by matching.
 
     The term ids are positive integers already, so Gamma's sets go to the
-    matching engine as they are.  The tests hold orbit_surplus to it.
+    matching engine as they are.  The tests hold simulate's hall_ok to it.
     """
     return sdr_exists(FiniteFamily(tuple(e.terms for e in gamma.entries)))
-
-
-def orbit_surplus(fam: ProjectionFamily, prefix_len: int, window_w: int, depth: int, k: int) -> int:
-    """Hall deficiency of the depth-`depth` orbit family, without building it.
-
-    The Gamma blocks under different outer layers j are disjoint, and the
-    block under j adds only the k pool atoms and max(j, 0) markers it shares,
-    so s_d = sum over j in -w..w of max(0, s_{d-1} - k - max(j, 0)), starting
-    from the window's own deficiency s_0.  Hall's condition holds iff it is 0.
-    """
-    s = max_surplus(window(fam, prefix_len), 1).max_surplus
-    for _ in range(depth):
-        if s == 0:
-            break  # every later s_d is a sum of max(0, -k - max(j, 0)) = 0
-        s = sum(max(0, s - k - max(j, 0)) for j in range(-window_w, window_w + 1))
-    return s
 
 
 class SimulationReport(NamedTuple):
@@ -417,10 +402,11 @@ def simulate(
     tight = find_tight_set(odd)
     entries = entry_count(depth, window_w, prefix_len, entry_cap)
     trans = build_transversal(odd, depth, window_w, prefix_len, tight.k, tight.positions)
+    ok = verify_transversal(trans, odd, depth, window_w, prefix_len, tight.k)
     return SimulationReport(
         entries=entries,
-        transversal_ok=verify_transversal(trans, odd, depth, window_w, prefix_len, tight.k),
-        hall_ok=orbit_surplus(odd, prefix_len, window_w, depth, tight.k) == 0,
+        transversal_ok=ok,
+        hall_ok=ok,
         k=tight.k,
         tight_positions=tight.positions,
         transversal=trans,

@@ -49,18 +49,6 @@ def indicator_vector(members: IndexSet) -> ChernVector:
     return {i: 1 for i in sorted(members)}
 
 
-def tensor_line_bundles(v: Mapping[int, int], w: Mapping[int, int]) -> ChernVector:
-    """Chern vector of a tensor product of line bundles: coordinatewise sum."""
-    out = chern_vector(v)
-    for i, c in chern_vector(w).items():
-        c = out.get(i, 0) + c
-        if c:
-            out[i] = c
-        else:
-            del out[i]
-    return out
-
-
 class MultilinearPoly:
     """Integer polynomial with square-free monomials: x_i^2 = 0.
 

@@ -191,7 +191,6 @@ class SurplusReport(NamedTuple):
     position (p-1)*n + c and holds the c-th smallest element matched to p.
     """
 
-    n: int
     positions: int
     max_surplus: int
     witness_F: tuple[int, ...]
@@ -222,7 +221,7 @@ def max_surplus(fam: FiniteFamily, n: int = 1) -> SurplusReport:
         copies[p] = c = copies.get(p, 0) + 1
         matching.append(((p - 1) * n + c, e))
     surplus = n * len(fam.sets) - size
-    return SurplusReport(n, len(fam.sets), surplus, tuple(sorted(reached)), tuple(matching))
+    return SurplusReport(len(fam.sets), surplus, tuple(sorted(reached)), tuple(matching))
 
 
 class MinorizationDecision(NamedTuple):
@@ -278,7 +277,6 @@ class SurplusSup(NamedTuple):
     case: `reason` states which tail shape forces growth.
     """
 
-    n: int
     value: int | Infinite
     window: int | None
     reason: str | None
@@ -354,10 +352,10 @@ class SurplusProfile:
         fam, tail, n, p = self.fam, self.fam.tail, self.n, self.p
         start = unbounded_multiplicity(fam)
         if start is not None and n >= start:
-            return SurplusSup(n, INFINITE, None, _unbounded_reason(fam, n))
+            return SurplusSup(INFINITE, None, _unbounded_reason(fam, n))
         # growing block i holds at least i identifiers: those below n are among the first n
         k = _blocks_below(tail, n, n) if isinstance(tail, DisjointBlocks) else 0
-        return SurplusSup(n, self.surplus(p + k), p + k, None)
+        return SurplusSup(self.surplus(p + k), p + k, None)
 
     def reach(self, target: int) -> int:
         """The smallest window t with S(t) >= target, by one bisection of S.
@@ -404,7 +402,7 @@ class SurplusProfile:
             for i in blocks
             for c in range(1, min(n, tail.size(i)) + 1)
         )
-        return SurplusReport(n, t, self.surplus(t), witness, matching)
+        return SurplusReport(t, self.surplus(t), witness, matching)
 
 
 def surplus_sup(fam: ProjectionFamily, n: int) -> SurplusSup:

@@ -109,7 +109,6 @@ class _Node(NamedTuple):
 
     sets: tuple[frozenset[int], ...]
     owner: dict[int, int]  # the position matched to each matched ground element
-    matched: int
     product: dict[int, int]  # element i is bit i - 1
     table: list[int]  # Ryser's products at each subset of the ground
     unions: list[int]  # the union of each subset of positions, element i as bit i - 1
@@ -139,17 +138,17 @@ def _below(max_ground: int) -> list[int]:
 
 
 def _root(max_ground: int) -> _Node:
-    return _Node((), {}, 0, {0: 1}, [1] * (1 << max_ground), [0], False)
+    return _Node((), {}, {0: 1}, [1] * (1 << max_ground), [0], False)
 
 
 def _extend(node: _Node, piece: tuple) -> _Node:
     """The child of node whose new set is piece; each route extends its own state."""
     mask, members, form = piece
     sets, owner = node.sets + (members,), dict(node.owner)
-    matched = node.matched + hall.augment(len(node.sets), sets.__getitem__, owner, set())
+    hall.augment(len(node.sets), sets.__getitem__, owner, set())
     unions, deficient = _sweep(node.unions, node.deficient, mask)
     product, table = euler.times_form(node.product, form), euler.ryser_extend(node.table, mask)
-    return _Node(sets, owner, matched, product, table, unions, deficient)
+    return _Node(sets, owner, product, table, unions, deficient)
 
 
 def _sweep(unions: list[int], deficient: bool, row: int) -> tuple[list[int], bool]:
@@ -193,7 +192,7 @@ def _verdicts(node: _Node, below: list[int]) -> tuple[int, int, int, int]:
     when m is tight (popcount(u_m) = |m|) and M lies inside u_m.
     """
     every, ground, unions = (1 << len(below)) - 1, len(below) - 1, node.unions
-    free = _reach(node.owner, unions, ground) if node.matched == len(node.sets) else 0
+    free = _reach(node.owner, unions, ground) if len(node.owner) == len(node.sets) else 0
     by_matching = every ^ below[ground & ~free]
     by_euler = every ^ below[reduce(and_, node.product, ground)]
     by_permanent = every ^ below[sum(b for b, n in _avoiding(node).items() if not n)]

@@ -17,7 +17,6 @@ from projclass.classify import (
     classify,
     compute_N,
     find_tight_set,
-    max_trivial_multiplicity,
     surplus_sup,
     surplus_window_bound,
     verify_minorization_pattern,
@@ -43,16 +42,17 @@ from projclass.hall import (
 )
 
 
+# the maximal trivial multiplicity k: the surplus supremum at multiplicity 1
 def test_max_trivial_multiplicity_triangular():
-    assert max_trivial_multiplicity(triangular()) == 0
+    assert surplus_sup(triangular(), 1).value == 0
 
 
 def test_max_trivial_multiplicity_padded():
-    assert max_trivial_multiplicity(padded_triangular()) == 1
+    assert surplus_sup(padded_triangular(), 1).value == 1
 
 
 def test_max_trivial_multiplicity_constant_tail():
-    assert max_trivial_multiplicity(CONSTANT_ONE) is INFINITE
+    assert surplus_sup(CONSTANT_ONE, 1).value is INFINITE
 
 
 def test_compute_N_triangular_small():
@@ -162,7 +162,7 @@ def test_unknown_tail_shape_is_refused():
     # a tail rule the constructor refuses, so build the tuple past it
     fam = tuple.__new__(ProjectionFamily, (triangular().prefix, object()))
     with pytest.raises(UndecidableFamilyError, match="undecidable family shape"):
-        max_trivial_multiplicity(fam)
+        surplus_sup(fam, 1).value
 
 
 def test_every_window_respects_the_reported_bound():

@@ -179,6 +179,16 @@ def test_endo_sim_entry_cap_env(capsys, tri_file, monkeypatch):
     assert "window too large" in err
 
 
+def test_endo_sim_refuses_a_non_integer_entry_cap(capsys, tri_file, monkeypatch):
+    monkeypatch.setenv("PROJCLASS_ENTRY_CAP", "abc")
+    code, out, err = run(
+        capsys, "endo-sim", "--family", tri_file,
+        "--depth", "1", "--window", "1", "--prefix", "1",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: PROJCLASS_ENTRY_CAP must be an integer, got 'abc'\n"
+
+
 def test_endo_sim_refuses_a_deep_orbit_in_one_line(capsys, tri_file):
     code, out, err = run(
         capsys, "endo-sim", "--family", tri_file,

@@ -18,26 +18,15 @@ from projclass.euler import (
     indicator_vector,
     product_work,
     sdr_count,
-    tensor_line_bundles,
     times_form,
 )
 from projclass.errors import FamilyFormatError
 from projclass.family import FiniteFamily
 from projclass.hall import sdr_exists
 
-vectors = st.dictionaries(st.integers(1, 5), st.integers(-3, 3), max_size=4)
 families = st.lists(
     st.frozensets(st.integers(1, 6), max_size=4), min_size=0, max_size=5
 ).map(tuple)
-
-
-def test_tensor_cancels_opposite_twists():
-    assert tensor_line_bundles({1: 1}, {1: -1}) == {}
-
-
-def test_tensor_identity_and_disjoint_sum():
-    assert tensor_line_bundles({2: 3}, {}) == {2: 3}
-    assert tensor_line_bundles({1: 1}, {2: 1}) == {1: 1, 2: 1}
 
 
 def test_euler_square_vanishes():
@@ -77,18 +66,6 @@ def test_poly_arithmetic():
     assert (x1 + x2) * x1 == x1 * x2
     assert (x1 * x2).coefficient(frozenset({1, 2})) == 1
     assert MultilinearPoly.one() * x1 == x1
-
-
-@given(v=vectors, w=vectors)
-def test_tensor_is_commutative(v, w):
-    assert tensor_line_bundles(v, w) == tensor_line_bundles(w, v)
-
-
-@given(u=vectors, v=vectors, w=vectors)
-def test_tensor_is_associative(u, v, w):
-    a = tensor_line_bundles(tensor_line_bundles(u, v), w)
-    b = tensor_line_bundles(u, tensor_line_bundles(v, w))
-    assert a == b
 
 
 @given(sets=families)

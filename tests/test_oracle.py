@@ -66,7 +66,7 @@ def assert_parent_state(node, max_ground):
     sets, ground = node.sets, (1 << max_ground) - 1
     elements = range(1, max_ground + 1)
     matched = brute_max_matching(sets)
-    assert node.matched == matched
+    assert len(node.owner) == matched
     assert node.deficient == (brute_max_surplus(sets) > 0)
     forms = product_of_forms(sets)
     # ground element i is bit i - 1 of the walk's monomials
@@ -155,7 +155,7 @@ def test_leaf_edges():
     # a parent that is not fully matched, so deficient: no child has an SDR,
     # but elements 2 and 3 still free a position
     node = node_of(4, [{1}, {1}, {2, 3}])
-    assert node.matched == 2 and node.deficient
+    assert len(node.owner) == 2 and node.deficient
     assert assert_verdicts_agree(node, 4) == (0, 0, 0, 0)
     assert oracle._reach(node.owner, node.unions, 0b1111) == 0b1110
     # alternating paths: element 2 or 3, whichever the second set holds,
