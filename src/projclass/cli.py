@@ -166,11 +166,9 @@ def cmd_endo_sim(args) -> tuple[dict, int]:
 
     fam = _load_family(args.family)
     raw = os.environ.get("PROJCLASS_ENTRY_CAP", str(DEFAULT_ENTRY_CAP))
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"PROJCLASS_ENTRY_CAP must be an integer, got {raw!r}") from None
-    report = simulate(fam, args.depth, args.window, args.prefix, cap)
+    if not (raw.isascii() and raw.isdecimal()):  # as _coefficient_map's keys
+        raise ValueError(f"PROJCLASS_ENTRY_CAP must be a non-negative decimal integer, got {raw!r}")
+    report = simulate(fam, args.depth, args.window, args.prefix, int(raw))
     doc = report.to_doc()
     if args.dump_assignment:
         doc["assignment"] = report.transversal.to_doc()

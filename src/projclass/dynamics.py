@@ -125,10 +125,6 @@ class GammaEntry(NamedTuple):
 class GammaFamily(NamedTuple):
     """The full orbit family at one depth over a window of layers, with its term table."""
 
-    depth: int
-    window: int
-    sources: int
-    pool: int
     entries: tuple[GammaEntry, ...]
     table: TermTable
 
@@ -185,7 +181,7 @@ def gamma_iterate(
             for j in range(-window_w, window_w + 1)
             for e in entries
         ]
-    return GammaFamily(depth, window_w, prefix_len, k, tuple(entries), table)
+    return GammaFamily(tuple(entries), table)
 
 
 class Transversal(NamedTuple):

@@ -91,16 +91,6 @@ class MultilinearPoly:
             return self.terms == ({frozenset(): other} if other else {})
         return NotImplemented
 
-    def __add__(self, other: "MultilinearPoly") -> "MultilinearPoly":
-        out = dict(self.terms)
-        for s, c in other.terms.items():
-            c = out.get(s, 0) + c
-            if c:
-                out[s] = c
-            elif s in out:
-                del out[s]
-        return MultilinearPoly(out)
-
     def __mul__(self, other: "MultilinearPoly") -> "MultilinearPoly":
         out: dict[frozenset[int], int] = {}
         for s, a in self.terms.items():

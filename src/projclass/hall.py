@@ -49,13 +49,6 @@ from .family import (
 class Infinite:
     """Sentinel for an unbounded surplus supremum."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self) -> str:
         return "INFINITE"
 
@@ -191,7 +184,6 @@ class SurplusReport(NamedTuple):
     position (p-1)*n + c and holds the c-th smallest element matched to p.
     """
 
-    positions: int
     max_surplus: int
     witness_F: tuple[int, ...]
     matching: tuple[tuple[int, int], ...]
@@ -221,7 +213,7 @@ def max_surplus(fam: FiniteFamily, n: int = 1) -> SurplusReport:
         copies[p] = c = copies.get(p, 0) + 1
         matching.append(((p - 1) * n + c, e))
     surplus = n * len(fam.sets) - size
-    return SurplusReport(len(fam.sets), surplus, tuple(sorted(reached)), tuple(matching))
+    return SurplusReport(surplus, tuple(sorted(reached)), tuple(matching))
 
 
 class MinorizationDecision(NamedTuple):
@@ -402,7 +394,7 @@ class SurplusProfile:
             for i in blocks
             for c in range(1, min(n, tail.size(i)) + 1)
         )
-        return SurplusReport(t, self.surplus(t), witness, matching)
+        return SurplusReport(self.surplus(t), witness, matching)
 
 
 def surplus_sup(fam: ProjectionFamily, n: int) -> SurplusSup:

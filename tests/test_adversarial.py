@@ -6,8 +6,9 @@ hostile shapes (nested or repeated identifiers, empty sets, repeated JSON
 keys, non-decimal coordinates, stride abuse), integers at 2^63, 2^64 and
 10^20, a positive analyze whose reaching window passes 2^63, a printed
 integer past Python's 4300-digit limit, an Euler product
-over its work cap, and requests just under and just over the orbit entry
-cap and the oracle's case cap.  A failed
+over its work cap, an orbit whose identity layer (depth 0) breaks Hall's
+condition, and requests just under and just over the orbit entry cap and
+the oracle's case cap.  A failed
 request prints nothing on stdout and exactly one `error: ` line on stderr;
 no request prints a traceback.
 """

@@ -179,14 +179,24 @@ def test_endo_sim_entry_cap_env(capsys, tri_file, monkeypatch):
     assert "window too large" in err
 
 
-def test_endo_sim_refuses_a_non_integer_entry_cap(capsys, tri_file, monkeypatch):
-    monkeypatch.setenv("PROJCLASS_ENTRY_CAP", "abc")
+@pytest.mark.parametrize("raw", ["abc", "-1", " 1_0 ", "+5", "\u0663"])
+def test_endo_sim_refuses_a_non_integer_entry_cap(capsys, tri_file, monkeypatch, raw):
+    # int() would take the sign, the spaces and underscore, and the Arabic-Indic three
+    monkeypatch.setenv("PROJCLASS_ENTRY_CAP", raw)
     code, out, err = run(
         capsys, "endo-sim", "--family", tri_file,
         "--depth", "1", "--window", "1", "--prefix", "1",
     )
     assert (code, out) == (2, "")
-    assert err == "error: PROJCLASS_ENTRY_CAP must be an integer, got 'abc'\n"
+    assert err == f"error: PROJCLASS_ENTRY_CAP must be a non-negative decimal integer, got {raw!r}\n"
+
+
+def test_endo_sim_reads_a_zero_entry_cap_as_a_cap(capsys, tri_file, monkeypatch):
+    monkeypatch.setenv("PROJCLASS_ENTRY_CAP", "0")
+    args = ("endo-sim", "--family", tri_file, "--depth", "1", "--window", "0", "--prefix")
+    assert run(capsys, *args, "0") == (0, '{"F0": [], "entries": 0, "hall_ok": true, "k": 0, "transversal_ok": true}\n', "")
+    code, out, err = run(capsys, *args, "1")
+    assert (code, out) == (1, "") and err.startswith("error: window too large")
 
 
 def test_endo_sim_refuses_a_deep_orbit_in_one_line(capsys, tri_file):

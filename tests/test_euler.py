@@ -63,7 +63,6 @@ def test_poly_arithmetic():
     x1 = MultilinearPoly.linear_form({1: 1})
     x2 = MultilinearPoly.linear_form({2: 1})
     assert x1 * x1 == MultilinearPoly.zero()
-    assert (x1 + x2) * x1 == x1 * x2
     assert (x1 * x2).coefficient(frozenset({1, 2})) == 1
     assert MultilinearPoly.one() * x1 == x1
 

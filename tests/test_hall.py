@@ -426,12 +426,12 @@ def test_decision_window_is_the_smallest_reaching_window(fam):
     for n in range(1, 6):
         reports = [max_surplus(window(fam, t), n) for t in range(last + 1)]
         for m in range(1, 21):
-            reaching = [rep for rep in reports if rep.max_surplus >= m]
+            reaching = [t for t, rep in enumerate(reports) if rep.max_surplus >= m]
             dec = decide_trivial_minorization(fam, m, n)
             assert dec.decision == bool(reaching)
             if reaching:
-                assert dec.window == reaching[0].positions
-                assert dec.certificate == reaching[0]
+                assert dec.window == reaching[0]
+                assert dec.certificate == reports[reaching[0]]
 
 
 @settings(max_examples=100, deadline=None)
