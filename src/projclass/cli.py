@@ -44,11 +44,20 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
+_DIGIT_LIMIT = "Python's integer digit limit (4300 by default)"
+
+
 def _loads(text: str) -> object:
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError:
         raise json.JSONDecodeError("arrays or objects nested too deeply", text, 0) from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        # the scanner's int() refuses a literal past the interpreter's digit
+        # limit with a line that names no input
+        raise FamilyFormatError(f"JSON integer literal is past {_DIGIT_LIMIT}") from None
 
 
 def _load_family(path: str) -> ProjectionFamily:
@@ -145,20 +154,32 @@ def cmd_euler(args) -> tuple[dict, int]:
 def _coefficient_map(entry: dict) -> dict[int, object]:
     """Integer coordinates for the string keys of a JSON coefficient map.
 
-    Only plain ASCII decimal keys are coordinates: int() would also take
-    signs, spaces, underscores and other scripts' digits.  Keys naming the
+    Only plain ASCII decimal keys are coordinates (_decimal).  Keys naming the
     same coordinate ("1" and "01") are rejected rather than silently merged,
     as index_set rejects duplicate members.
     """
     out: dict[int, object] = {}
     for key, c in entry.items():
-        if not (key.isascii() and key.isdecimal()):
-            raise FamilyFormatError(f"Chern coordinates are positive integers, got {key!r}")
-        i = int(key)
+        i = _decimal(key, "Chern coordinate key")
         if i in out:
             raise FamilyFormatError(f"Chern coordinate {key!r} repeats coordinate {i}")
         out[i] = c
     return out
+
+
+def _decimal(text: str, name: str) -> int:
+    """The non-negative integer that text writes in plain ASCII decimal digits.
+
+    int() would also take signs, spaces, underscores and other scripts'
+    digits, and it refuses text past the interpreter's digit limit with a
+    line that names no input; both refusals here name the input.
+    """
+    if not (text.isascii() and text.isdecimal()):
+        raise ValueError(f"{name} must be a non-negative decimal integer, got {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # digits only, so the digit limit is the one refusal left
+        raise ValueError(f"{name} has {len(text)} digits, past {_DIGIT_LIMIT}") from None
 
 
 def cmd_endo_sim(args) -> tuple[dict, int]:
@@ -166,9 +187,7 @@ def cmd_endo_sim(args) -> tuple[dict, int]:
 
     fam = _load_family(args.family)
     raw = os.environ.get("PROJCLASS_ENTRY_CAP", str(DEFAULT_ENTRY_CAP))
-    if not (raw.isascii() and raw.isdecimal()):  # as _coefficient_map's keys
-        raise ValueError(f"PROJCLASS_ENTRY_CAP must be a non-negative decimal integer, got {raw!r}")
-    report = simulate(fam, args.depth, args.window, args.prefix, int(raw))
+    report = simulate(fam, args.depth, args.window, args.prefix, _decimal(raw, "PROJCLASS_ENTRY_CAP"))
     doc = report.to_doc()
     if args.dump_assignment:
         doc["assignment"] = report.transversal.to_doc()

@@ -213,21 +213,18 @@ def parse_family(doc: object) -> ProjectionFamily:
 
     Tail kinds: "none", "constant" (with "set"), "disjoint_blocks" (with
     "a", "b", "start" and an optional internal "stride").  A missing "tail"
-    means "none".
+    means "none".  Only the document's shape is checked here; the records
+    check every set and block parameter, once, as they do for any caller.
     """
     if not isinstance(doc, dict):
         raise FamilyFormatError("family document must be a JSON object")
-    unknown = set(doc) - {"prefix", "tail"}
-    if unknown:
-        raise FamilyFormatError(f"unknown family keys: {sorted(unknown)}")
-    prefix_doc = doc.get("prefix", [])
-    if not isinstance(prefix_doc, list):
+    _require_keys(doc, {"prefix", "tail"}, what="family")
+    prefix = doc.get("prefix", [])
+    if not isinstance(prefix, list):
         raise FamilyFormatError("family prefix must be an array of arrays")
-    prefix = []
-    for pos, entry in enumerate(prefix_doc, 1):
+    for pos, entry in enumerate(prefix, 1):
         if not isinstance(entry, list):
             raise FamilyFormatError(f"prefix position {pos} must be an array of identifiers")
-        prefix.append(index_set(entry))
 
     tail_doc = doc.get("tail", {"kind": "none"})
     if not isinstance(tail_doc, dict) or "kind" not in tail_doc:
@@ -241,7 +238,7 @@ def parse_family(doc: object) -> ProjectionFamily:
         _require_keys(tail_doc, {"kind", "set"}, needed={"set"})
         if not isinstance(tail_doc["set"], list):
             raise FamilyFormatError('constant tail "set" must be an array of identifiers')
-        tail = Constant(index_set(tail_doc["set"]))
+        tail = Constant(tail_doc["set"])
     elif kind == "disjoint_blocks":
         _require_keys(tail_doc, {"kind", "a", "b", "start", "stride"}, needed={"a", "b", "start"})
         tail = DisjointBlocks(
@@ -249,16 +246,16 @@ def parse_family(doc: object) -> ProjectionFamily:
         )
     else:
         raise FamilyFormatError(f"unknown tail kind {kind!r}")
-    return ProjectionFamily(tuple(prefix), tail)
+    return ProjectionFamily(prefix, tail)
 
 
-def _require_keys(doc: dict, allowed: set, needed: set = frozenset()) -> None:
+def _require_keys(doc: dict, allowed: set, needed: set = frozenset(), what: str = "tail") -> None:
     extra = set(doc) - allowed
     if extra:
-        raise FamilyFormatError(f"unknown tail keys: {sorted(extra)}")
+        raise FamilyFormatError(f"unknown {what} keys: {sorted(extra)}")
     missing = needed - set(doc)
     if missing:
-        raise FamilyFormatError(f"missing tail keys: {sorted(missing)}")
+        raise FamilyFormatError(f"missing {what} keys: {sorted(missing)}")
 
 
 def family_to_doc(fam: ProjectionFamily) -> dict:

@@ -3,9 +3,10 @@
 Each case gives its argv, where FAMILY stands for a file holding the case's
 family text, and the exit code and stdout it must give.  The cases are
 hostile shapes (nested or repeated identifiers, empty sets, repeated JSON
-keys, non-decimal coordinates, stride abuse), integers at 2^63, 2^64 and
-10^20, a positive analyze whose reaching window passes 2^63, a printed
-integer past Python's 4300-digit limit, an Euler product
+keys, non-decimal coordinates, stride abuse, malformed JSON, a document
+with two faults), integers at 2^63, 2^64 and 10^20, a positive analyze
+whose reaching window passes 2^63, a printed integer, a JSON literal and a
+coordinate key past Python's 4300-digit limit, an Euler product
 over its work cap, an orbit whose identity layer (depth 0) breaks Hall's
 condition, and requests just under and just over the orbit entry cap and
 the oracle's case cap.  A failed

@@ -191,6 +191,17 @@ def test_endo_sim_refuses_a_non_integer_entry_cap(capsys, tri_file, monkeypatch,
     assert err == f"error: PROJCLASS_ENTRY_CAP must be a non-negative decimal integer, got {raw!r}\n"
 
 
+def test_endo_sim_names_an_entry_cap_past_the_digit_limit(capsys, tri_file, monkeypatch):
+    # int() alone refuses 5000 digits with a line that names no input
+    monkeypatch.setenv("PROJCLASS_ENTRY_CAP", "1" * 5000)
+    code, out, err = run(
+        capsys, "endo-sim", "--family", tri_file,
+        "--depth", "1", "--window", "1", "--prefix", "1",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: PROJCLASS_ENTRY_CAP has 5000 digits, past Python's integer digit limit (4300 by default)\n"
+
+
 def test_endo_sim_reads_a_zero_entry_cap_as_a_cap(capsys, tri_file, monkeypatch):
     monkeypatch.setenv("PROJCLASS_ENTRY_CAP", "0")
     args = ("endo-sim", "--family", tri_file, "--depth", "1", "--window", "0", "--prefix")
@@ -222,6 +233,41 @@ def test_malformed_json_reports_position(capsys, tmp_path):
     code, _, err = run(capsys, "classify", "--family", str(p))
     assert code == 2
     assert "line" in err and "column" in err
+
+
+DIGITS_5000 = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("classify", "--family", "FAMILY"),
+        ("euler", "--bundles", f"[[{DIGITS_5000}]]"),
+        ("euler", "--bundles", f'[{{"1": {DIGITS_5000}}}]'),
+    ],
+    ids=["family", "support", "coefficient"],
+)
+def test_json_integer_literal_past_the_digit_limit_is_a_document_error(capsys, tmp_path, command):
+    family = tmp_path / "long.json"
+    family.write_text(f'{{"prefix": [[{DIGITS_5000}]]}}')
+    code, out, err = run(capsys, *[str(family) if a == "FAMILY" else a for a in command])
+    assert (code, out) == (2, "")
+    assert err == "error: JSON integer literal is past Python's integer digit limit (4300 by default)\n"
+
+
+def test_malformed_json_keeps_its_line_beside_the_digit_limit(capsys, tmp_path):
+    # the scanner reports the first fault it reads: here the stray comma
+    p = tmp_path / "broken.json"
+    p.write_text(f'{{"prefix": [[1,]], "tail": {DIGITS_5000}}}')
+    code, out, err = run(capsys, "classify", "--family", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed JSON: ") and len(err.splitlines()) == 1
+
+
+def test_euler_names_a_coordinate_key_past_the_digit_limit(capsys):
+    code, out, err = run(capsys, "euler", "--bundles", json.dumps([{DIGITS_5000: 1}]))
+    assert (code, out) == (2, "")
+    assert err == "error: Chern coordinate key has 5000 digits, past Python's integer digit limit (4300 by default)\n"
 
 
 def test_missing_file(capsys):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import CONSTANT_ONE, finite, triangular
+from projclass import family
 from projclass.errors import FamilyFormatError, FamilyIndexError
 from projclass.family import (
     Constant,
@@ -220,6 +221,39 @@ def test_parse_family_rejects_bad_documents():
     ):
         with pytest.raises(FamilyFormatError):
             parse_family(doc)
+
+
+@pytest.mark.parametrize("p", [0, 1, 5])
+def test_parse_family_checks_each_set_once(monkeypatch, p):
+    # the records check the sets; parse_family checks only the document's shape
+    calls = []
+
+    def counted(elements):
+        calls.append(elements)
+        return index_set(elements)
+
+    monkeypatch.setattr(family, "index_set", counted)
+    fam = parse_family({"prefix": [[i] for i in range(1, p + 1)], "tail": {"kind": "constant", "set": [1]}})
+    assert len(calls) == p + 1
+    assert fam == ProjectionFamily([[i] for i in range(1, p + 1)], Constant([1]))
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        # the prefix's shape is read before any of its sets
+        ({"prefix": [[0], 5]}, "prefix position 2 must be an array of identifiers"),
+        # the tail is read before the prefix's sets
+        ({"prefix": [[0]], "tail": {"kind": "weird"}}, "unknown tail kind 'weird'"),
+        ({"prefix": [[1, 1]], "tail": {"kind": "constant", "set": [0]}}, "ground identifiers must be positive integers, got 0"),
+        ({"prefix": [], "extra": 1}, "unknown family keys: ['extra']"),
+    ],
+    ids=["prefix-shape", "tail-kind", "constant-set", "family-key"],
+)
+def test_parse_family_reports_the_shape_then_the_tail_then_the_sets(doc, message):
+    with pytest.raises(FamilyFormatError) as err:
+        parse_family(doc)
+    assert str(err.value) == message
 
 
 def test_doc_omits_default_stride():
