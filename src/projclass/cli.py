@@ -65,26 +65,24 @@ def _load_family(path: str) -> ProjectionFamily:
         return parse_family(_loads(fh.read()))
 
 
-def _render_text(doc: object, indent: int = 0) -> list[str]:
+def _render_text(doc: dict | list, indent: int = 0) -> list[str]:
+    """One line per entry: `key: value` in a dict, `- value` in a list.
+
+    An entry whose value is a nonempty dict, or a list holding a nonempty
+    dict or list, gets a line of its own and its entries below, indented.
+    """
     pad = "  " * indent
-    lines: list[str] = []
     if isinstance(doc, dict):
-        for key in doc:
-            value = doc[key]
-            if isinstance(value, (dict, list)) and value and not _is_flat(value):
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {_flat(value)}")
-    elif isinstance(doc, list):
-        for value in doc:
-            if isinstance(value, (dict, list)) and value and not _is_flat(value):
-                lines.append(f"{pad}-")
-                lines.extend(_render_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}- {_flat(value)}")
+        pairs = ((f"{key}:", value) for key, value in doc.items())
     else:
-        lines.append(f"{pad}{_flat(doc)}")
+        pairs = (("-", value) for value in doc)
+    lines: list[str] = []
+    for head, value in pairs:
+        if isinstance(value, (dict, list)) and value and not _is_flat(value):
+            lines.append(f"{pad}{head}")
+            lines.extend(_render_text(value, indent + 1))
+        else:
+            lines.append(f"{pad}{head} {_flat(value)}")
     return lines
 
 

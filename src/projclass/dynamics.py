@@ -185,7 +185,12 @@ def gamma_iterate(
 
 
 class Transversal(NamedTuple):
-    """An injective choice of one term id per orbit entry, keyed by (path, source)."""
+    """An injective choice of one term id per orbit entry, keyed by (path, source).
+
+    build_transversal inserts the keys in Gamma's path order, paths in
+    lexicographic order and sources innermost, so to_doc prints them as
+    they come.
+    """
 
     depth: int
     table: TermTable
@@ -194,9 +199,7 @@ class Transversal(NamedTuple):
     def to_doc(self) -> list[dict]:
         return [
             {"path": list(path), "source": source, "term": term_to_doc(self.table, term)}
-            for (path, source), term in sorted(
-                self.assignment.items(), key=lambda kv: (kv[0][0], kv[0][1])
-            )
+            for (path, source), term in self.assignment.items()
         ]
 
 

@@ -50,69 +50,20 @@ def indicator_vector(members: IndexSet) -> ChernVector:
 
 
 class MultilinearPoly:
-    """Integer polynomial with square-free monomials: x_i^2 = 0.
+    """euler_class's result: an integer polynomial with square-free monomials.
 
     Terms map frozen monomial supports to nonzero integer coefficients; the
-    empty support is the constant term.  Equality, hashing inputs, and the
-    serialized form are all canonical because supports are sets and emission
-    sorts them.
+    empty support is the constant term.  The record only holds the terms,
+    tests for zero and prints them, sorted; euler_class does the arithmetic.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[frozenset[int], int] | None = None):
-        self.terms: dict[frozenset[int], int] = {
-            frozenset(s): c for s, c in (terms or {}).items() if c
-        }
-
-    @classmethod
-    def zero(cls) -> "MultilinearPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "MultilinearPoly":
-        return cls({frozenset(): 1})
-
-    @classmethod
-    def linear_form(cls, v: Mapping[int, int]) -> "MultilinearPoly":
-        """sum_i v(i) x_i for a Chern vector v."""
-        return cls({frozenset([i]): c for i, c in chern_vector(v).items()})
-
-    def coefficient(self, monomial: Iterable[int]) -> int:
-        return self.terms.get(frozenset(monomial), 0)
+    def __init__(self, terms: dict[frozenset[int], int]):
+        self.terms = terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, MultilinearPoly):
-            return self.terms == other.terms
-        if isinstance(other, int):
-            return self.terms == ({frozenset(): other} if other else {})
-        return NotImplemented
-
-    def __mul__(self, other: "MultilinearPoly") -> "MultilinearPoly":
-        out: dict[frozenset[int], int] = {}
-        for s, a in self.terms.items():
-            for t, b in other.terms.items():
-                if s & t:
-                    continue  # a repeated variable is killed by x_i^2 = 0
-                key = s | t
-                c = out.get(key, 0) + a * b
-                if c:
-                    out[key] = c
-                elif key in out:
-                    del out[key]
-        return MultilinearPoly(out)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "MultilinearPoly(0)"
-        bits = []
-        for s in sorted(self.terms, key=lambda s: (len(s), sorted(s))):
-            mono = "*".join(f"x{i}" for i in sorted(s)) or "1"
-            bits.append(f"{self.terms[s]}*{mono}")
-        return f"MultilinearPoly({' + '.join(bits)})"
 
     def to_doc(self) -> list[dict]:
         """Deterministic wire form: terms sorted by degree then support."""

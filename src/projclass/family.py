@@ -257,17 +257,3 @@ def _require_keys(doc: dict, allowed: set, needed: set = frozenset(), what: str 
     if missing:
         raise FamilyFormatError(f"missing {what} keys: {sorted(missing)}")
 
-
-def family_to_doc(fam: ProjectionFamily) -> dict:
-    """Inverse of parse_family, with sets emitted as sorted arrays."""
-    doc: dict = {"prefix": [sorted(s) for s in fam.prefix]}
-    tail = fam.tail
-    if tail is None:
-        doc["tail"] = {"kind": "none"}
-    elif isinstance(tail, Constant):
-        doc["tail"] = {"kind": "constant", "set": sorted(tail.members)}
-    else:
-        doc["tail"] = {"kind": "disjoint_blocks", "a": tail.a, "b": tail.b, "start": tail.start}
-        if tail.stride != 1:
-            doc["tail"]["stride"] = tail.stride
-    return doc

@@ -407,17 +407,13 @@ def surplus_window_bound(fam: ProjectionFamily, n: int, target: int) -> int:
     return SurplusProfile(fam, n).reach(target)
 
 
-def decide_trivial_minorization(
-    fam: ProjectionFamily | FiniteFamily, m: int, n: int
-) -> MinorizationDecision:
+def decide_trivial_minorization(fam: ProjectionFamily, m: int, n: int) -> MinorizationDecision:
     """Decide whether m trivial rank-one summands embed under n copies of Q.
 
     One profile answers the supremum, the window and the certificate: the
     surplus report of the supremum's window when the answer is no, of the
     smallest reaching window when it is yes.
     """
-    if isinstance(fam, FiniteFamily):
-        fam = ProjectionFamily(fam.sets)
     if m < 1 or n < 1:
         raise ValueError(f"m and n must be >= 1, got m={m}, n={n}")
     profile = SurplusProfile(fam, n)

@@ -92,6 +92,22 @@ def brute_sdr_count(sets) -> int:
     return go(0, frozenset())
 
 
+def poly_product(a: dict, b: dict) -> dict:
+    """Product of two polynomials {support: coefficient}; x_i^2 = 0 kills a shared variable."""
+    out: dict = {}
+    for s, x in a.items():
+        for t, y in b.items():
+            if not s & t:
+                out[s | t] = out.get(s | t, 0) + x * y
+    return {support: c for support, c in out.items() if c}
+
+
+def euler_fold(bundles) -> dict:
+    """The product of the linear forms sum_i v(i) x_i, one frozenset support per term."""
+    forms = ({frozenset([i]): c for i, c in v.items() if c} for v in bundles)
+    return functools.reduce(poly_product, forms, {frozenset(): 1})
+
+
 def all_subsets(ground) -> list[frozenset]:
     items = sorted(ground)
     return [
@@ -143,10 +159,15 @@ def assert_certificate_replays(fam: ProjectionFamily, doc: dict) -> None:
     assert n * len(doc["witness_F"]) - len(union) == doc["max_surplus"]
 
 
-def cli_process(*argv: str) -> subprocess.CompletedProcess:
+def python_process(*args: str, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+    """Run python with src on its path and env's variables set."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "projclass.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, *args],
+        capture_output=True, text=True, env={**os.environ, **(env or {}), "PYTHONPATH": path}, timeout=60,
     )
+
+
+def cli_process(*argv: str, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+    return python_process("-m", "projclass.cli", *argv, env=env)

@@ -17,22 +17,19 @@ import os
 import random
 import sys
 import tempfile
+from pathlib import Path
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-sys.path.insert(0, os.path.join(HERE, "..", "..", "src"))
+sys.path[:0] = [os.path.join(HERE, ".."), os.path.join(HERE, "..", "..", "src")]
 
+from corpora import golden_argv, golden_cases, random_analyze_argv  # noqa: E402
 from projclass.cli import main  # noqa: E402
-
-
-def resolve(argv: list[str]) -> list[str]:
-    """Family paths in cases.json are relative to this directory."""
-    return [os.path.join(HERE, a) if a.startswith("families/") else a for a in argv]
 
 
 def run_case(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(resolve(argv))
+        code = main(argv)
     return code, out.getvalue()
 
 
@@ -53,23 +50,11 @@ def random_analyze_requests(count: int = 300, seed: int = 2026) -> list[dict]:
     return requests
 
 
-def run_analyze(request: dict, directory: str) -> tuple[int, str]:
-    path = os.path.join(directory, "family.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(request["family"], fh)
-    return run_case(["analyze", "--family", path, "--m", str(request["m"]), "--n", str(request["n"])])
-
-
-def load_cases() -> list[dict]:
-    with open(os.path.join(HERE, "cases.json"), encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 if __name__ == "__main__":
-    cases = load_cases()
+    cases = golden_cases()
     os.makedirs(os.path.join(HERE, "expected"), exist_ok=True)
     for case in cases:
-        code, out = run_case(case["argv"])
+        code, out = run_case(golden_argv(case))
         case["exit"] = code
         with open(os.path.join(HERE, "expected", case["name"] + ".out"), "w", encoding="utf-8") as fh:
             fh.write(out)
@@ -78,7 +63,7 @@ if __name__ == "__main__":
     requests = random_analyze_requests()
     with tempfile.TemporaryDirectory() as tmp:
         for request in requests:
-            request["exit"], request["out"] = run_analyze(request, tmp)
+            request["exit"], request["out"] = run_case(random_analyze_argv(request, Path(tmp) / "family.json"))
     with open(os.path.join(HERE, "random_analyze.json"), "w", encoding="utf-8") as fh:
         fh.write("[\n" + ",\n".join("  " + json.dumps(r) for r in requests) + "\n]\n")
     print(f"recorded {len(cases)} cases and {len(requests)} random analyze requests")

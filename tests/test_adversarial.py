@@ -1,36 +1,32 @@
 """Adversarial CLI requests from tests/data/adversarial.json, each run as a process.
 
 Each case gives its argv, where FAMILY stands for a file holding the case's
-family text, and the exit code and stdout it must give.  The cases are
-hostile shapes (nested or repeated identifiers, empty sets, repeated JSON
-keys, non-decimal coordinates, stride abuse, malformed JSON, a document
-with two faults), integers at 2^63, 2^64 and 10^20, a positive analyze
-whose reaching window passes 2^63, a printed integer, a JSON literal and a
-coordinate key past Python's 4300-digit limit, an Euler product
-over its work cap, an orbit whose identity layer (depth 0) breaks Hall's
-condition, and requests just under and just over the orbit entry cap and
-the oracle's case cap.  A failed
-request prints nothing on stdout and exactly one `error: ` line on stderr;
-no request prints a traceback.
+family text, optionally an env to run it under, and the exit code and
+stdout it must give.  The cases are hostile shapes (nested or repeated
+identifiers, empty sets, repeated JSON keys, non-decimal coordinates, stride
+abuse, malformed JSON, a document with two faults), integers at 2^63, 2^64
+and 10^20, a positive analyze whose reaching window passes 2^63, a printed
+integer, a JSON literal and a coordinate key past Python's 4300-digit
+limit, an Euler product over its work cap, an orbit whose identity layer
+(depth 0) breaks Hall's condition, requests just under and just over the
+orbit entry cap and the oracle's case cap, and a negative and a small
+PROJCLASS_ENTRY_CAP.  A failed request prints nothing on stdout and exactly
+one `error: ` line on stderr; no request prints a traceback.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
 
 from conftest import cli_process
+from corpora import adversarial_argv, adversarial_cases
 
-CASES = json.loads((Path(__file__).parent / "data" / "adversarial.json").read_text(encoding="utf-8"))
+CASES = adversarial_cases()
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_adversarial_request(tmp_path, case):
-    family = tmp_path / "family.json"
-    family.write_text(case.get("family", ""), encoding="utf-8")
-    proc = cli_process(*[str(family) if a == "FAMILY" else a for a in case["argv"]])
+    proc = cli_process(*adversarial_argv(case, tmp_path / "family.json"), env=case.get("env"))
     assert "Traceback" not in proc.stderr
     assert (proc.returncode, proc.stdout) == (case["exit"], case["stdout"])
     if proc.returncode == 0:

@@ -592,7 +592,7 @@ def test_subset_sweep_equals_the_frozenset_sweep(sets):
         ("sdr_exists", lambda real: lambda fam: not real(fam)),
         (
             "euler_class",
-            lambda real: lambda vs: MultilinearPoly.zero() if real(vs) else MultilinearPoly.one(),
+            lambda real: lambda vs: MultilinearPoly({} if real(vs) else {frozenset(): 1}),
         ),
         ("sdr_count", lambda real: lambda fam: 0 if real(fam) else 1),
         ("_subset_sweep", lambda real: lambda sets: not real(sets)),

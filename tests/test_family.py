@@ -11,7 +11,6 @@ from projclass.family import (
     ProjectionFamily,
     eval_set,
     expand_multiplicity,
-    family_to_doc,
     index_set,
     parse_family,
     reindex_to_odd,
@@ -190,9 +189,37 @@ def test_reindex_preserves_window_surplus(fam, t, n):
     assert before == after
 
 
-@given(fam=small_families())
-def test_family_doc_round_trip(fam):
-    assert parse_family(family_to_doc(fam)) == fam
+@st.composite
+def family_documents(draw):
+    """A family document of each tail kind, and the family built from the same parts.
+
+    A block tail's stride is absent, 1 or 2, and a "none" tail may be left out.
+    """
+    prefix = draw(st.lists(st.lists(st.integers(1, 6), unique=True, max_size=4), max_size=3))
+    kind = draw(st.sampled_from(["none", "constant", "disjoint_blocks"]))
+    doc = {"prefix": prefix, "tail": {"kind": kind}}
+    if kind == "none":
+        tail = None
+        if draw(st.booleans()):
+            del doc["tail"]
+    elif kind == "constant":
+        doc["tail"]["set"] = members = draw(st.lists(st.integers(1, 6), unique=True, max_size=3))
+        tail = Constant(members)
+    else:
+        a, b = draw(st.sampled_from([(a, b) for a in range(3) for b in range(3)][1:]))
+        start = max((max(s) for s in prefix if s), default=0) + draw(st.integers(1, 3))
+        doc["tail"].update(a=a, b=b, start=start)
+        stride = draw(st.sampled_from([None, 1, 2]))
+        if stride:
+            doc["tail"]["stride"] = stride
+        tail = DisjointBlocks(a, b, start, stride or 1)
+    return doc, ProjectionFamily(prefix, tail)
+
+
+@given(case=family_documents())
+def test_family_doc_round_trip(case):
+    doc, fam = case
+    assert parse_family(doc) == fam
 
 
 def test_parse_family_wire_format():
@@ -254,13 +281,6 @@ def test_parse_family_reports_the_shape_then_the_tail_then_the_sets(doc, message
     with pytest.raises(FamilyFormatError) as err:
         parse_family(doc)
     assert str(err.value) == message
-
-
-def test_doc_omits_default_stride():
-    doc = family_to_doc(triangular())
-    assert doc["tail"] == {"kind": "disjoint_blocks", "a": 1, "b": 0, "start": 1}
-    fam = ProjectionFamily((), DisjointBlocks(1, 0, 1, stride=2))
-    assert family_to_doc(fam)["tail"]["stride"] == 2
 
 
 def test_records_are_frozen_checked_and_compared_by_fields():

@@ -281,11 +281,11 @@ def test_reaching_window_found_by_bisection(monkeypatch):
     # a chain with an SDR, then {1}, {1}: surplus 1 is first reached at
     # window 2001, so a window-by-window scan would match 2001 windows where
     # bisection over the 2002-window bound probes about log2(2002) of them
-    fam = FiniteFamily(chain_sets(2000) + (frozenset({1}), frozenset({1})))
+    fam = ProjectionFamily(chain_sets(2000) + (frozenset({1}), frozenset({1})))
     calls = count_matchings(monkeypatch)
     dec = decide_trivial_minorization(fam, 1, 1)
     assert dec.decision and dec.window == 2001
-    assert len(calls) <= 2 + len(fam.sets).bit_length()
+    assert len(calls) <= 2 + len(fam.prefix).bit_length()
 
 
 def test_surplus_sup_matches_only_the_prefix(monkeypatch):
@@ -339,7 +339,7 @@ def test_pattern_matches_each_window_once_per_multiplicity(monkeypatch):
     "fam, m, n, window_len, prefix_len",
     [
         # a finite chain with a system of distinct representatives: negative
-        (FiniteFamily(chain_sets(50)), 1, 1, 50, 50),
+        (ProjectionFamily(chain_sets(50)), 1, 1, 50, 50),
         # {1}, {1} then blocks of size 1, 2, ...: at n = 2 the supremum 4 sits
         # at window 3, past the prefix, for the negative and the positive answer
         (padded_triangular(), 5, 2, 3, 2),

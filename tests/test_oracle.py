@@ -6,7 +6,7 @@ routes (max_matching, euler_class, sdr_count and the subset sweep).  Where a
 walk step shares code with its per-case route (hall.augment, the Euler fold
 step, Ryser's table and the subset sweep), each child is also held to a
 reference that shares none: the backtracking matching size, the product of
-linear forms under MultilinearPoly.__mul__, the backtracking representative
+linear forms as a fold over frozenset supports, the backtracking representative
 count and the brute-force surplus.  The masks the bits are read from (the
 AND of the Euler product's supports, the elements every representative
 system uses, and the elements no alternating path frees) are held to brute
@@ -16,21 +16,16 @@ them and their children.
 
 import itertools
 from functools import reduce
-from operator import and_, mul
+from operator import and_
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_max_matching, brute_max_surplus, brute_sdr_count
+from conftest import brute_max_matching, brute_max_surplus, brute_sdr_count, euler_fold
 from projclass import oracle
-from projclass.euler import MultilinearPoly, euler_class, indicator_vector, sdr_count
+from projclass.euler import euler_class, indicator_vector, sdr_count
 from projclass.family import FiniteFamily
 from projclass.hall import BipartiteIncidence, max_matching
-
-
-def product_of_forms(sets):
-    forms = (MultilinearPoly.linear_form(indicator_vector(s)) for s in sets)
-    return reduce(mul, forms, MultilinearPoly.one())
 
 
 def answers(sets):
@@ -42,7 +37,7 @@ def answers(sets):
     matched = max_matching(BipartiteIncidence.from_family(fam))[0]
     assert matched == brute_max_matching(sets)
     poly = euler_class(indicator_vector(s) for s in sets)
-    assert poly == product_of_forms(sets)
+    assert poly.terms == euler_fold(indicator_vector(s) for s in sets)
     count = sdr_count(fam)
     assert count == brute_sdr_count(sets)
     swept = oracle._subset_sweep(sets)
@@ -68,14 +63,14 @@ def assert_parent_state(node, max_ground):
     matched = brute_max_matching(sets)
     assert len(node.owner) == matched
     assert node.deficient == (brute_max_surplus(sets) > 0)
-    forms = product_of_forms(sets)
+    fold = euler_fold(indicator_vector(s) for s in sets)
     # ground element i is bit i - 1 of the walk's monomials
-    assert node.product == {masks_of(m): c for m, c in forms.terms.items()}
+    assert node.product == {masks_of(m): c for m, c in fold.items()}
     # the positivity lemma: a 0/1 product has no negative coefficient, so
     # the child with new set M vanishes exactly when M lies inside every support
     assert all(c > 0 for c in node.product.values())
     meet = reduce(and_, node.product, ground)
-    assert meet == masks_of(e for e in elements if all(e in m for m in forms.terms))
+    assert meet == masks_of(e for e in elements if all(e in m for m in fold))
     # the parent's representative systems that avoid e are the child's with new set {e}
     avoid = oracle._avoiding(node)
     assert avoid == {1 << (e - 1): brute_sdr_count(sets + (frozenset({e}),)) for e in elements}
