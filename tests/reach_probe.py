@@ -6,6 +6,12 @@ request called, and "wrong_exits", the requests whose exit code differs from
 the corpus's.  The tracer sees call events only, and it is installed before
 projclass is imported, so the modules' own code is seen too.
 tests/test_reach.py runs it in a fresh interpreter.
+
+The requests share the one process, and each module is imported by the
+first request that needs it, in the corpora's order.  oracle's
+`from . import euler` asks the package for euler, through its lazy
+__getattr__, only while euler is not loaded: an oracle-check process of its
+own calls __getattr__, and here the golden euler cases load euler first.
 """
 
 import sys
