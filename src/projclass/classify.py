@@ -138,7 +138,6 @@ class PatternRow(NamedTuple):
 
     m: int
     n_threshold: int
-    blocked_at_m: bool
     l: int
     l_window: int
     l_surplus: int
@@ -153,7 +152,6 @@ class PatternReport(NamedTuple):
                 {
                     "m": r.m,
                     "N": r.n_threshold,
-                    "blocked_at_m": r.blocked_at_m,
                     "l": r.l,
                     "l_window": r.l_window,
                     "l_surplus": r.l_surplus,
@@ -195,5 +193,5 @@ def verify_minorization_pattern(fam: ProjectionFamily, m_max: int = 4) -> Patter
             raise FullFamilyError("family is full")
         l = max(m + 1, l0)
         l_window = profile(l).reach(sup + 1)
-        rows.append(PatternRow(m, sup + 1, True, l, l_window, profile(l).surplus(l_window)))
+        rows.append(PatternRow(m, sup + 1, l, l_window, profile(l).surplus(l_window)))
     return PatternReport(tuple(rows))

@@ -132,17 +132,15 @@ class GammaFamily(NamedTuple):
 def entry_count(depth: int, window_w: int, prefix_len: int, entry_cap: int) -> int:
     """The number of orbit entries, (2w+1)^depth * prefix_len, refused past the cap.
 
-    The product is built one layer at a time and abandoned once it passes the
-    cap, so a refusal never forms a number much larger than the cap.
+    A cap of b bits is below 2^b, and a nonzero count with a factor of 3 or
+    more passes 2^b within b layers, so the exponent stops at b: the count is
+    exact under the cap, and a refusal never forms a number much larger than
+    the cap.
     """
     if depth < 0 or window_w < 0 or prefix_len < 0:
         raise ValueError("depth, window and prefix length must be >= 0")
     factor = 2 * window_w + 1
-    count = prefix_len
-    for _ in range(depth if count and factor > 1 else 0):
-        if count > entry_cap:
-            break
-        count *= factor
+    count = prefix_len * factor ** min(depth, entry_cap.bit_length())
     if count > entry_cap:
         raise WindowTooLargeError(
             f"window too large: {factor}^{depth} * {prefix_len} entries "
@@ -189,10 +187,9 @@ class Transversal(NamedTuple):
 
     build_transversal inserts the keys in Gamma's path order, paths in
     lexicographic order and sources innermost, so to_doc prints them as
-    they come.
+    they come.  The depth is the length of the keys' paths.
     """
 
-    depth: int
     table: TermTable
     assignment: dict[tuple[tuple[int, ...], int], int]
 
@@ -211,11 +208,11 @@ def _ordered_matching(candidates: list[Callable[[], Iterable[int]]]) -> list[int
     and only as far as they are read.  First pass hands every source its
     first still-free candidate; stuck sources then match by hall.augment,
     which tries candidates in the same order.  Returns None when no perfect
-    matching exists.  hall.max_matching is not used here: its first
-    breadth-first phase reads every candidate, while this reads and interns
-    them lazily.  Handing each layer to it took endo-sim padded, depth 1,
-    window 4, prefix 200 from 24 ms to 354 ms in-process (2 vCPUs), with the
-    same output.
+    matching exists.  hall.max_matching is not used here: its
+    BipartiteIncidence needs every candidate list built and interned before
+    matching starts, while this reads and interns them lazily.  Handing each
+    layer to it took endo-sim padded, depth 1, window 4, prefix 200 from
+    24 ms to 354 ms in-process (2 vCPUs), with the same output.
     """
     owner: dict[int, int] = {}
     pending = []
@@ -271,7 +268,7 @@ def build_transversal(
     """
     table = TermTable()
     base = window(fam, prefix_len)
-    trans = Transversal(depth, table, {})
+    trans = Transversal(table, {})
     if not base.sets:
         # no sources, no entries: there is nothing to match or to enumerate
         return trans
@@ -317,19 +314,19 @@ def verify_transversal(
     """Membership and injectivity check, independent of how the transversal was built.
 
     Every (path, source) of Gamma's canonical enumeration must have a term,
-    and no other key may.  Membership is alpha's definition read off the
-    term, decoded through the transversal's table outermost layer first: at
-    layer j the term may be a pool atom batom(j, r) with 1 <= r <= k or a
-    marker nu(j, base(2l)) with 1 <= l <= j, and is a member; otherwise it
-    must be nu(j, inner), and inner is checked at the next layer.  Past the
-    innermost layer it must be base(i) with i in the source's set.  An id the
-    table never issued is rejected.
+    and no other key may: the walked keys' distinct terms must be as many as
+    the assignment's keys, so Gamma's size is never computed.  Membership is
+    alpha's definition read off the term, decoded through the transversal's
+    table outermost layer first: at layer j the term may be a pool atom
+    batom(j, r) with 1 <= r <= k or a marker nu(j, base(2l)) with
+    1 <= l <= j, and is a member; otherwise it must be nu(j, inner), and
+    inner is checked at the next layer.  Past the innermost layer it must be
+    base(i) with i in the source's set.  An id the table never issued is
+    rejected.
     """
     nodes = trans.table.nodes
     assignment = trans.assignment
     sets = window(fam, prefix_len).sets
-    if trans.depth != depth or len(assignment) != (2 * window_w + 1) ** depth * prefix_len:
-        return False
     layers = range(-window_w, window_w + 1)
     seen: set[int] = set()
     for s, members in enumerate(sets, 1):
@@ -352,7 +349,7 @@ def verify_transversal(
             else:
                 if node[0] != "base" or node[1] not in members:
                     return False
-    return True
+    return len(seen) == len(assignment)
 
 
 def hall_check_gamma(gamma: GammaFamily) -> bool:

@@ -2,10 +2,10 @@
 
 Every error the package raises derives from ProjclassError, and its class
 carries the command line's exit code: 2 for a request the program refuses
-(a bad document, an unsupported shape, an out-of-range query, a request past
-a size cap), 1 for a guard that trips while the request runs (the orbit
-entry cap, a Hall violation, a pattern with no positions).  cli.main maps
-every other exception once, in cli._failure.
+(a bad document, an out-of-range query, a request past a size cap), 1 for a
+guard that trips while the request runs (the orbit entry cap, a Hall
+violation, a pattern with no positions).  cli.main maps every other
+exception once, in cli._failure.
 """
 
 
@@ -21,10 +21,6 @@ class FamilyFormatError(ProjclassError):
 
 class FamilyIndexError(ProjclassError):
     """A position query fell outside the family, e.g. beyond a finite one."""
-
-
-class UndecidableFamilyError(ProjclassError):
-    """The family's tail shape is outside the decidable fragment."""
 
 
 class FullFamilyError(ProjclassError):

@@ -173,8 +173,6 @@ def window(fam: ProjectionFamily, t: int) -> FiniteFamily:
     """The finite family of the first t positions."""
     if t < 0:
         raise FamilyIndexError(f"window length must be >= 0, got {t}")
-    if fam.tail is None and t > len(fam.prefix):
-        raise FamilyIndexError("index beyond finite family")
     return FiniteFamily(tuple(eval_set(fam, j) for j in range(1, t + 1)))
 
 

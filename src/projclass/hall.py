@@ -36,7 +36,6 @@ from bisect import bisect_left
 from collections import defaultdict
 from typing import Callable, Iterable, NamedTuple
 
-from .errors import UndecidableFamilyError
 from .family import (
     Constant,
     DisjointBlocks,
@@ -285,9 +284,7 @@ def unbounded_multiplicity(fam: ProjectionFamily) -> int | None:
         return None
     if isinstance(tail, Constant):
         return 1
-    if isinstance(tail, DisjointBlocks):
-        return tail.b + 1 if tail.a == 0 else None
-    raise UndecidableFamilyError("undecidable family shape")
+    return tail.b + 1 if tail.a == 0 else None
 
 
 def _unbounded_reason(fam: ProjectionFamily, n: int) -> str:

@@ -7,11 +7,13 @@ the corpus's.  The tracer sees call events only, and it is installed before
 projclass is imported, so the modules' own code is seen too.
 tests/test_reach.py runs it in a fresh interpreter.
 
-The requests share the one process, and each module is imported by the
-first request that needs it, in the corpora's order.  oracle's
-`from . import euler` asks the package for euler, through its lazy
-__getattr__, only while euler is not loaded: an oracle-check process of its
-own calls __getattr__, and here the golden euler cases load euler first.
+The requests share the one process, so a call made only while a module is
+first loaded would count for whichever request loads it first.  oracle's
+`from . import euler, hall` asks the package for each module through its
+lazy __getattr__ while that module is not loaded yet.  So the probe loads
+cli (which loads hall), then euler, then oracle before the first request:
+no request sees a module load, and the result does not depend on the
+corpora's order.  An oracle-check process of its own does call __getattr__.
 """
 
 import sys
@@ -43,6 +45,8 @@ from corpora import (  # noqa: E402
     random_analyze_cases,
 )
 from projclass.cli import main  # noqa: E402
+import projclass.euler  # noqa: E402,F401  before oracle, which imports it from the package
+import projclass.oracle  # noqa: E402,F401
 
 
 def run(argv: list[str], env: dict[str, str]) -> int:

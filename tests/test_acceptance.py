@@ -213,9 +213,10 @@ def test_criterion_5_endomorphism_simulation(capsys):
 
 
 def test_criterion_6_minorization_pattern(capsys):
-    report = verify_minorization_pattern(triangular(), 4)
+    fam = triangular()
+    report = verify_minorization_pattern(fam, 4)
     rows = {(r.m, r.l) for r in report.rows}
     ok = rows == {(1, 2), (2, 3), (3, 4), (4, 5)}
     for r in report.rows:
-        ok = ok and r.blocked_at_m and r.l_surplus >= r.n_threshold
+        ok = ok and r.n_threshold == compute_N(fam, r.m) and r.l_surplus >= r.n_threshold
     _report(capsys, "criterion 6: each bound is blocked at m copies yet met at some l", ok)

@@ -167,6 +167,57 @@ def test_entry_cap_refuses_deep_orbits_without_forming_their_count():
         entry_count(0, 1, 11, 10)
 
 
+def layered_entry_count(depth, window_w, prefix_len, entry_cap):
+    """The reference count: built one layer at a time, abandoned once past the cap."""
+    if depth < 0 or window_w < 0 or prefix_len < 0:
+        raise ValueError("depth, window and prefix length must be >= 0")
+    factor = 2 * window_w + 1
+    count = prefix_len
+    for _ in range(depth if count and factor > 1 else 0):
+        if count > entry_cap:
+            break
+        count *= factor
+    if count > entry_cap:
+        raise WindowTooLargeError(
+            f"window too large: {factor}^{depth} * {prefix_len} entries "
+            f"exceed the cap of {entry_cap}"
+        )
+    return count
+
+
+# negative caps, the smallest ones, and each side of p * f^e for f = 3, 5, 7
+ENTRY_CAPS = [-(2**64), -10, -1, 0, 1, 2] + [
+    cap
+    for f in (3, 5, 7)
+    for e in (1, 2, 7, 13, 30, 45, 60)
+    for cap in ((e % 6 + 1) * f**e - 1, (e % 6 + 1) * f**e)
+]
+
+
+def test_entry_count_closed_form_equals_the_layered_count():
+    # depth 0-60, window 0-3, prefix 0-6 and 48 caps: the same count, or the
+    # same refusal with the same message
+    assert len(ENTRY_CAPS) == 48
+    for depth, w, p, cap in itertools.product(range(61), range(4), range(7), ENTRY_CAPS):
+        args = (depth, w, p, cap)
+        assert outcome(entry_count, *args) == outcome(layered_entry_count, *args), args
+
+
+def test_an_orbit_with_no_entries_is_decided_at_any_depth():
+    t0 = time.perf_counter()
+    assert entry_count(10**9, 1, 0, DEFAULT_ENTRY_CAP) == 0
+    report = simulate(triangular(), 10**9, 1, 0)
+    assert time.perf_counter() - t0 < 0.5
+    assert report.to_doc() == {
+        "entries": 0, "transversal_ok": True, "hall_ok": True, "k": 0, "F0": []
+    }
+    # the empty transversal is one at every depth, and only it is
+    fam = reindex_to_odd(triangular())
+    t = TermTable()
+    assert verify_transversal(Transversal(t, {}), fam, 10**9, 1, 0, 0)
+    assert not verify_transversal(Transversal(t, {((), 1): t.base(1)}), fam, 10**9, 1, 0, 0)
+
+
 def test_depth_one_entries_contain_their_pool():
     fam = reindex_to_odd(padded_triangular())
     gamma = gamma_iterate(fam, prefix_len=3, window_w=1, depth=1, k=1)
@@ -236,14 +287,14 @@ def test_build_transversal_depth_zero_detects_collisions():
 def test_verify_transversal_rejects_duplicates_and_strays():
     fam = reindex_to_odd(triangular())
     t = TermTable()
-    dup = Transversal(0, t, {((), 1): t.base(1), ((), 2): t.base(1)})
+    dup = Transversal(t, {((), 1): t.base(1), ((), 2): t.base(1)})
     assert not verify_transversal(dup, fam, 0, 0, 2, 0)
-    stray = Transversal(0, t, {((), 1): t.base(1), ((), 2): t.base(99)})
+    stray = Transversal(t, {((), 1): t.base(1), ((), 2): t.base(99)})
     assert not verify_transversal(stray, fam, 0, 0, 2, 0)
     # the same ids are meaningless under another table
     good = build_transversal(fam, 0, 0, 2, 0, ())
     assert verify_transversal(good, fam, 0, 0, 2, 0)
-    assert not verify_transversal(Transversal(0, TermTable(), good.assignment), fam, 0, 0, 2, 0)
+    assert not verify_transversal(Transversal(TermTable(), good.assignment), fam, 0, 0, 2, 0)
 
 
 def test_hall_check_gamma_examples():
@@ -430,7 +481,7 @@ def materialized_simulate(fam, depth, w, p, cap=DEFAULT_ENTRY_CAP):
         "k": tight.k,
         "F0": list(tight.positions),
     }
-    return doc, Transversal(depth, table, assignment).to_doc()
+    return doc, Transversal(table, assignment).to_doc()
 
 
 def outcome(route, *args):
@@ -511,8 +562,8 @@ def test_verify_transversal_reads_membership_off_the_term(key, make, member):
     fam = ProjectionFamily((frozenset({1}),))
     t = TermTable()
     good = lifted_good(t)
-    assert verify_transversal(Transversal(2, t, good), fam, 2, 1, 1, 1)
-    trans = Transversal(2, t, {**good, key: make(t)})
+    assert verify_transversal(Transversal(t, good), fam, 2, 1, 1, 1)
+    trans = Transversal(t, {**good, key: make(t)})
     assert verify_transversal(trans, fam, 2, 1, 1, 1) is member
 
 
@@ -521,9 +572,9 @@ def test_verify_transversal_rejects_a_member_taken_twice():
     fam = ProjectionFamily((frozenset({1}),))
     t = TermTable()
     once = {**lifted_good(t), ((1, 0), 1): t.batom(1, 1)}
-    assert verify_transversal(Transversal(2, t, once), fam, 2, 1, 1, 1)
+    assert verify_transversal(Transversal(t, once), fam, 2, 1, 1, 1)
     twice = {**once, ((1, 1), 1): t.batom(1, 1)}
-    assert not verify_transversal(Transversal(2, t, twice), fam, 2, 1, 1, 1)
+    assert not verify_transversal(Transversal(t, twice), fam, 2, 1, 1, 1)
 
 
 def test_verify_transversal_rejects_missing_and_extra_entries():
@@ -532,14 +583,16 @@ def test_verify_transversal_rejects_missing_and_extra_entries():
     good = lifted_good(t)
     missing = dict(good)
     del missing[((1, 1), 1)]
-    assert not verify_transversal(Transversal(2, t, missing), fam, 2, 1, 1, 1)
+    assert not verify_transversal(Transversal(t, missing), fam, 2, 1, 1, 1)
     # the count matches, but one key is not an entry of Gamma
     renamed = dict(missing)
     renamed[((1, 1), 2)] = good[((1, 1), 1)]
-    assert not verify_transversal(Transversal(2, t, renamed), fam, 2, 1, 1, 1)
-    # a transversal of another depth or window
-    assert not verify_transversal(Transversal(2, t, good), fam, 2, 0, 1, 1)
-    assert not verify_transversal(Transversal(1, t, good), fam, 2, 1, 1, 1)
+    assert not verify_transversal(Transversal(t, renamed), fam, 2, 1, 1, 1)
+    # a transversal of another window or depth
+    assert not verify_transversal(Transversal(t, good), fam, 2, 0, 1, 1)
+    shallow = {((j,), 1): t.nu(j, t.base(1)) for j in (-1, 0, 1)}
+    assert verify_transversal(Transversal(t, shallow), fam, 1, 1, 1, 1)
+    assert not verify_transversal(Transversal(t, shallow), fam, 2, 1, 1, 1)
 
 
 def test_verify_transversal_rejects_a_term_from_another_table():
@@ -550,14 +603,14 @@ def test_verify_transversal_rejects_a_term_from_another_table():
     far = other.nu(0, other.nu(0, other.nu(0, other.base(1))))
     for _ in range(len(t.nodes)):
         far = other.nu(0, far)
-    assert not verify_transversal(Transversal(2, t, {**good, ((0, 0), 1): far}), fam, 2, 1, 1, 1)
+    assert not verify_transversal(Transversal(t, {**good, ((0, 0), 1): far}), fam, 2, 1, 1, 1)
     # an id that the table did issue, but for another term
     other.batom(5, 1)
     foreign = other.nu(0, other.nu(0, other.base(1)))
     assert term_to_doc(t, foreign) != ["nu", 0, ["nu", 0, ["base", 1]]]
-    assert not verify_transversal(Transversal(2, t, {**good, ((0, 0), 1): foreign}), fam, 2, 1, 1, 1)
-    assert not verify_transversal(Transversal(2, t, {**good, ((0, 0), 1): 0}), fam, 2, 1, 1, 1)
-    assert not verify_transversal(Transversal(2, t, {**good, ((0, 0), 1): -1}), fam, 2, 1, 1, 1)
+    assert not verify_transversal(Transversal(t, {**good, ((0, 0), 1): foreign}), fam, 2, 1, 1, 1)
+    assert not verify_transversal(Transversal(t, {**good, ((0, 0), 1): 0}), fam, 2, 1, 1, 1)
+    assert not verify_transversal(Transversal(t, {**good, ((0, 0), 1): -1}), fam, 2, 1, 1, 1)
 
 
 def test_deep_orbit_interns_one_wrap_per_layer():

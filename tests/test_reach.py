@@ -24,7 +24,7 @@ SRC = TESTS.parent / "src" / "projclass"
 # bench/tracing.py resolves four of these by name, so they stay in src
 UNREACHED = {
     "__init__.__dir__": "dir(projclass) lists the exports for library callers",
-    "__init__.__getattr__": "resolves the exports for library callers (see reach_probe on oracle-check)",
+    "__init__.__getattr__": "resolves the exports for library callers; the probe loads oracle's modules before any request",
     "classify.PatternReport.to_doc": "the pattern's printer; no subcommand prints the pattern yet",
     "classify.verify_minorization_pattern": "the finite but not stably finite pattern; no subcommand runs it yet",
     "dynamics.alpha": "one orbit step on a materialized set; only gamma_iterate calls it",
