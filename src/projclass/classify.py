@@ -20,12 +20,10 @@ ten surplus samples of a full family are read off one profile.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from functools import cache, partial
 from typing import NamedTuple
 
-from .errors import FullFamilyError, PatternNotFoundError
-from .family import Constant, ProjectionFamily, window
+from .errors import FullFamilyError
+from .family import Constant, ProjectionFamily
 from .hall import (  # noqa: F401  bench/tracing.py resolves classify.surplus_window_bound
     INFINITE,
     Infinite,
@@ -131,67 +129,3 @@ def classify(fam: ProjectionFamily, m_max: int = 6) -> Classification:
             raise AssertionError("non-full shape produced an unbounded threshold")
         table[m] = n
     return Classification(LABEL_NON_FULL, n_table=table, k=tight.k, tight_set=tight)
-
-
-class PatternRow(NamedTuple):
-    """One multiplicity's finiteness pattern: N(m) blocked at m, admitted at l."""
-
-    m: int
-    n_threshold: int
-    l: int
-    l_window: int
-    l_surplus: int
-
-
-class PatternReport(NamedTuple):
-    rows: tuple[PatternRow, ...]
-
-    def to_doc(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "m": r.m,
-                    "N": r.n_threshold,
-                    "l": r.l,
-                    "l_window": r.l_window,
-                    "l_surplus": r.l_surplus,
-                }
-                for r in self.rows
-            ]
-        }
-
-
-def verify_minorization_pattern(fam: ProjectionFamily, m_max: int = 4) -> PatternReport:
-    """Exhibit, for each m <= m_max, the finite-but-not-stably-finite pattern.
-
-    N(m) = sup(m) + 1 trivial summands do not fit under m copies, by the
-    supremum's definition; the row gives the least l > m under which they
-    do.  Only meaningful for non-full families.  That l is max(m + 1, l0),
-    l0 the least multiplicity with a positive surplus.  If sup(m) >= 1 its
-    witness F is nonempty, so sup(m + 1) >= sup(m) + |F| >= N(m).  If
-    sup(m) = 0 then N(m) = 1 and m < l0.  The surplus grows with the
-    multiplicity, so l0 is one bisection over 1..s + 1, s the smallest set
-    among the first p + 1 positions (p the prefix length; the first p without
-    a tail): one position of size s alone has surplus 1 at s + 1.  Only a
-    family with no positions has no l0.
-    """
-    profile = cache(partial(SurplusProfile, fam))
-    first = window(fam, len(fam.prefix) + (fam.tail is not None)).sets
-    s = min(map(len, first), default=0)
-
-    def positive(n: int) -> bool:
-        value = profile(n).sup().value
-        return isinstance(value, Infinite) or value >= 1
-
-    l0 = bisect_left(range(s + 2), True, lo=1, key=positive)
-    if l0 > s + 1:
-        raise PatternNotFoundError("pattern not found: the family has no positions")
-    rows = []
-    for m in range(1, m_max + 1):
-        sup = profile(m).sup().value
-        if isinstance(sup, Infinite):
-            raise FullFamilyError("family is full")
-        l = max(m + 1, l0)
-        l_window = profile(l).reach(sup + 1)
-        rows.append(PatternRow(m, sup + 1, l, l_window, profile(l).surplus(l_window)))
-    return PatternReport(tuple(rows))

@@ -392,7 +392,8 @@ def simulate(
 
     The family is first relabelled onto odd identifiers so the even marker
     identifiers are fresh; k and the tight set are computed from the family.
-    The entry cap is checked before anything is built.
+    The tight set is matched first, so a full family is refused before the
+    entry cap is consulted; the cap is checked before the transversal is built.
     """
     odd = reindex_to_odd(fam)
     tight = find_tight_set(odd)

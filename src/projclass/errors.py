@@ -4,8 +4,7 @@ Every error the package raises derives from ProjclassError, and its class
 carries the command line's exit code: 2 for a request the program refuses
 (a bad document, an out-of-range query, a request past a size cap), 1 for a
 guard that trips while the request runs (the orbit entry cap, a Hall
-violation, a pattern with no positions).  cli.main maps every other
-exception once, in cli._failure.
+violation).  cli.main maps every other exception once, in cli._failure.
 """
 
 
@@ -35,12 +34,6 @@ class WindowTooLargeError(ProjclassError):
 
 class HallViolationError(ProjclassError):
     """A transversal matching turned out infeasible."""
-
-    exit_code = 1
-
-
-class PatternNotFoundError(ProjclassError):
-    """No multiplicity exhibits the wanted pattern: the family has no positions."""
 
     exit_code = 1
 

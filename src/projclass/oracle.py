@@ -34,9 +34,10 @@ from functools import cache, partial, reduce
 from operator import and_, ge, mul, or_
 from typing import Iterator, NamedTuple, Sequence
 
-from . import euler, hall
 from .errors import OracleBoundsError
+from .euler import euler_class, indicator_vector, ryser_extend, ryser_weights, sdr_count, times_form
 from .family import FiniteFamily
+from .hall import augment, sdr_exists
 
 # oracle-check refuses when its cases times 2 ** max_ground, the products in
 # one Ryser table, pass this
@@ -45,7 +46,7 @@ ORACLE_WORK_CAP = 1 << 24
 # Ryser's weights per (ground, sets, avoided element) for _avoiding.  The caps
 # keep a walked ground at g <= 12 (2^g cases, shifted left by g, stay within
 # ORACLE_WORK_CAP) and its parents at <= 6 sets: <= 7 * 12 lists of <= 4096.
-_weights = cache(euler.ryser_weights)
+_weights = cache(ryser_weights)
 
 
 def oracle_check(max_sets: int, max_ground: int, random_cases: int, seed: int) -> dict:
@@ -145,9 +146,9 @@ def _extend(node: _Node, piece: tuple) -> _Node:
     """The child of node whose new set is piece; each route extends its own state."""
     mask, members, form = piece
     sets, owner = node.sets + (members,), dict(node.owner)
-    hall.augment(len(node.sets), sets.__getitem__, owner, set())
+    augment(len(node.sets), sets.__getitem__, owner, set())
     unions, deficient = _sweep(node.unions, node.deficient, mask)
-    product, table = euler.times_form(node.product, form), euler.ryser_extend(node.table, mask)
+    product, table = times_form(node.product, form), ryser_extend(node.table, mask)
     return _Node(sets, owner, product, table, unions, deficient)
 
 
@@ -231,9 +232,9 @@ def _avoiding(node: _Node) -> dict[int, int]:
 
 def _four_way_agree(sets: tuple[frozenset[int], ...]) -> bool:
     fam = FiniteFamily(sets)
-    by_matching = hall.sdr_exists(fam)
-    by_euler = bool(euler.euler_class(euler.indicator_vector(s) for s in sets))
-    by_permanent = euler.sdr_count(fam) > 0
+    by_matching = sdr_exists(fam)
+    by_euler = bool(euler_class(indicator_vector(s) for s in sets))
+    by_permanent = sdr_count(fam) > 0
     by_sweep = _subset_sweep(sets)
     return by_matching == by_euler == by_permanent == by_sweep
 

@@ -1,8 +1,9 @@
-"""Shared builders, brute-force oracles and a CLI process runner.
+"""Shared builders, brute-force oracles, the pattern's rows and a CLI process runner.
 
 The oracles here share no code with the engine under test: surplus and
 matching are recomputed by direct subset or backtracking enumeration, and
 counting goes through a naive permanent. Slow on purpose, trusted on sight.
+pattern_rows is no oracle: it reads the pattern off the public deciders.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import sys
 
 from hypothesis import strategies as st
 
+from projclass.classify import compute_N
 from projclass.family import (
     Constant,
     DisjointBlocks,
@@ -23,6 +25,7 @@ from projclass.family import (
     reindex_to_odd,
     window,
 )
+from projclass.hall import MinorizationDecision, decide_trivial_minorization
 
 
 def triangular(start: int = 1) -> ProjectionFamily:
@@ -139,6 +142,22 @@ def block_families(draw, constant=False, finite=False):
         tail = DisjointBlocks(a, b, start)
     fam = ProjectionFamily(tuple(prefix), tail)
     return reindex_to_odd(fam) if draw(st.booleans()) else fam
+
+
+def pattern_rows(fam: ProjectionFamily, m_max: int) -> list[tuple[int, int, MinorizationDecision]]:
+    """The finite-but-not-stably-finite pattern: (m, N(m), the answer at the least l > m).
+
+    N(m) = compute_N(fam, m) trivial summands do not fit under m copies; the
+    answer is the first positive decide_trivial_minorization(fam, N(m), l)
+    for l = m + 1, m + 2, ..., so its n is that least l and its window the
+    least window there.  The family must be non-full and have a position.
+    """
+    rows = []
+    for m in range(1, m_max + 1):
+        n = compute_N(fam, m)
+        scan = (decide_trivial_minorization(fam, n, l) for l in itertools.count(m + 1))
+        rows.append((m, n, next(d for d in scan if d.decision)))
+    return rows
 
 
 def assert_certificate_replays(fam: ProjectionFamily, doc: dict) -> None:

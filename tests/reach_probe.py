@@ -6,14 +6,6 @@ request called, and "wrong_exits", the requests whose exit code differs from
 the corpus's.  The tracer sees call events only, and it is installed before
 projclass is imported, so the modules' own code is seen too.
 tests/test_reach.py runs it in a fresh interpreter.
-
-The requests share the one process, so a call made only while a module is
-first loaded would count for whichever request loads it first.  oracle's
-`from . import euler, hall` asks the package for each module through its
-lazy __getattr__ while that module is not loaded yet.  So the probe loads
-cli (which loads hall), then euler, then oracle before the first request:
-no request sees a module load, and the result does not depend on the
-corpora's order.  An oracle-check process of its own does call __getattr__.
 """
 
 import sys
@@ -45,8 +37,6 @@ from corpora import (  # noqa: E402
     random_analyze_cases,
 )
 from projclass.cli import main  # noqa: E402
-import projclass.euler  # noqa: E402,F401  before oracle, which imports it from the package
-import projclass.oracle  # noqa: E402,F401
 
 
 def run(argv: list[str], env: dict[str, str]) -> int:

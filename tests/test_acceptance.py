@@ -16,6 +16,7 @@ from conftest import (
     SINGLETON_BLOCKS,
     brute_sdr_count,
     padded_triangular,
+    pattern_rows,
     triangular,
 )
 from projclass.classify import (
@@ -23,7 +24,6 @@ from projclass.classify import (
     LABEL_NON_FULL,
     classify,
     compute_N,
-    verify_minorization_pattern,
 )
 from projclass.dynamics import simulate
 from projclass.euler import euler_class, indicator_vector, sdr_count
@@ -34,7 +34,13 @@ from projclass.family import (
     reindex_to_odd,
     window,
 )
-from projclass.hall import BipartiteIncidence, max_matching, max_surplus, sdr_exists
+from projclass.hall import (
+    BipartiteIncidence,
+    decide_trivial_minorization,
+    max_matching,
+    max_surplus,
+    sdr_exists,
+)
 
 
 def _report(capsys, name: str, ok: bool, extra: str = ""):
@@ -214,9 +220,9 @@ def test_criterion_5_endomorphism_simulation(capsys):
 
 def test_criterion_6_minorization_pattern(capsys):
     fam = triangular()
-    report = verify_minorization_pattern(fam, 4)
-    rows = {(r.m, r.l) for r in report.rows}
-    ok = rows == {(1, 2), (2, 3), (3, 4), (4, 5)}
-    for r in report.rows:
-        ok = ok and r.n_threshold == compute_N(fam, r.m) and r.l_surplus >= r.n_threshold
+    rows = pattern_rows(fam, 4)
+    ok = [(m, dec.n) for m, _, dec in rows] == [(1, 2), (2, 3), (3, 4), (4, 5)]
+    for m, n, dec in rows:
+        blocked = decide_trivial_minorization(fam, n, m)
+        ok = ok and not blocked.decision and dec.certificate.max_surplus >= n
     _report(capsys, "criterion 6: each bound is blocked at m copies yet met at some l", ok)

@@ -13,8 +13,17 @@ product over its work cap, an orbit of a full family (no tight set), an
 orbit whose identity layer (depth 0) breaks Hall's condition, requests just
 under and just over the orbit entry cap and the oracle's case cap, an orbit
 of depth 10^6 over the entry cap, an orbit of depth 10^9 with no entries,
-and a negative and a small PROJCLASS_ENTRY_CAP.  A failed request prints nothing on stdout and exactly
-one `error: ` line on stderr; no request prints a traceback.
+and a negative and a small PROJCLASS_ENTRY_CAP.  Each CLI range refusal has
+a case too: analyze and nbound at m = 0, classify at m-max 0, endo-sim at a
+negative depth or window, and oracle-check at max-sets 0, max-ground 18 or
+a negative random count.  So do an Euler coordinate 0, a fractional Euler
+coefficient, each refusal of a family document's shape (not an object, a
+prefix that is not an array, a tail with no kind, a constant set that is
+not an array, an unknown kind, an unknown family or none-tail key, a
+constant tail without its set, blocks with a = -1 or start 0), and an
+orbit prefix past a finite family.  A failed request prints nothing on
+stdout and exactly one `error: ` line on stderr; no request prints a
+traceback.
 """
 
 from __future__ import annotations

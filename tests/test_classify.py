@@ -1,5 +1,3 @@
-from itertools import count
-
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -9,6 +7,7 @@ from conftest import (
     block_families,
     brute_max_surplus,
     padded_triangular,
+    pattern_rows,
     triangular,
 )
 from projclass.classify import (
@@ -19,13 +18,9 @@ from projclass.classify import (
     find_tight_set,
     surplus_sup,
     surplus_window_bound,
-    verify_minorization_pattern,
 )
 from projclass import hall
-from projclass.errors import (
-    FullFamilyError,
-    PatternNotFoundError,
-)
+from projclass.errors import FullFamilyError
 from projclass.family import (
     Constant,
     DisjointBlocks,
@@ -35,9 +30,7 @@ from projclass.family import (
 )
 from projclass.hall import (
     INFINITE,
-    decide_trivial_minorization,
     max_surplus,
-    unbounded_multiplicity,
 )
 
 
@@ -246,50 +239,18 @@ def test_dichotomy_matches_block_growth(a, b, m):
 
 
 def test_verify_minorization_pattern_triangular():
-    report = verify_minorization_pattern(triangular(), 4)
-    rows = {(r.m, r.l) for r in report.rows}
-    assert rows == {(1, 2), (2, 3), (3, 4), (4, 5)}
-    for r in report.rows:
-        assert r.n_threshold == r.m * (r.m - 1) // 2 + 1
-        assert r.l_surplus >= r.n_threshold
-
-
-def test_verify_minorization_pattern_refuses_full_families():
-    with pytest.raises(FullFamilyError):
-        verify_minorization_pattern(CONSTANT_ONE, 2)
-
-
-def test_verify_minorization_pattern_bound_too_small():
-    # l has no search bound left to fall short of: only a family with no
-    # positions admits no trivial summand at any multiplicity
-    with pytest.raises(PatternNotFoundError, match="pattern not found"):
-        verify_minorization_pattern(ProjectionFamily(), 1)
+    rows = pattern_rows(triangular(), 4)
+    assert [(m, dec.n) for m, _, dec in rows] == [(1, 2), (2, 3), (3, 4), (4, 5)]
+    for m, n, dec in rows:
+        assert n == m * (m - 1) // 2 + 1
+        assert dec.certificate.max_surplus >= n
 
 
 def test_verify_minorization_pattern_finds_l_past_the_old_scan():
     # blocks of sizes 101, 102, ...: no surplus at m = 1, so N(1) = 1, and the
     # first block alone reaches it once l - 101 >= 1
-    (row,) = verify_minorization_pattern(ProjectionFamily((), DisjointBlocks(1, 100, 1)), 1).rows
-    assert (row.n_threshold, row.l, row.l_window, row.l_surplus) == (1, 102, 1, 1)
-
-
-@settings(max_examples=150, deadline=None)
-@given(fam=st.one_of(block_families(), block_families(finite=True)), m_max=st.integers(1, 4))
-def test_verify_minorization_pattern_bisects_the_least_l(fam, m_max):
-    start = unbounded_multiplicity(fam)
-    assume(start is None or m_max < start)
-    if not fam.prefix and fam.tail is None:
-        with pytest.raises(PatternNotFoundError):
-            verify_minorization_pattern(fam, m_max)
-        return
-    rows = verify_minorization_pattern(fam, m_max).rows
-    assert [r.m for r in rows] == list(range(1, m_max + 1))
-    for r in rows:
-        assert r.n_threshold == compute_N(fam, r.m)
-        # the least admitting l, by a linear scan from m + 1
-        scan = (decide_trivial_minorization(fam, r.n_threshold, l) for l in count(r.m + 1))
-        dec = next(d for d in scan if d.decision)
-        assert (r.l, r.l_window, r.l_surplus) == (dec.n, dec.window, dec.certificate.max_surplus)
+    ((_, n, dec),) = pattern_rows(ProjectionFamily((), DisjointBlocks(1, 100, 1)), 1)
+    assert (n, dec.n, dec.window, dec.certificate.max_surplus) == (1, 102, 1, 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -297,17 +258,12 @@ def test_verify_minorization_pattern_bisects_the_least_l(fam, m_max):
 def test_verify_minorization_pattern_rows_hold_to_brute_force(fam, m_max):
     # each row against brute_max_surplus, which shares no code with the
     # engine: N(m) is blocked at m, l is the least multiplicity admitting
-    # it, and l_window the least window that does at l
+    # it, and the answer's window the least window that does at l
     assume(fam.prefix)
     sets = fam.prefix
-    for r in verify_minorization_pattern(fam, m_max).rows:
-        assert r.n_threshold == brute_max_surplus(sets, r.m) + 1
-        assert brute_max_surplus(sets, r.l) >= r.n_threshold > brute_max_surplus(sets, r.l - 1)
-        assert brute_max_surplus(sets[: r.l_window], r.l) == r.l_surplus >= r.n_threshold
-        assert r.n_threshold > brute_max_surplus(sets[: r.l_window - 1], r.l)
-
-
-def test_pattern_report_doc():
-    doc = verify_minorization_pattern(triangular(), 2).to_doc()
-    assert doc["rows"][0]["m"] == 1
-    assert doc["rows"][0]["l"] == 2
+    for m, n, dec in pattern_rows(fam, m_max):
+        l, t = dec.n, dec.window
+        assert n == brute_max_surplus(sets, m) + 1
+        assert brute_max_surplus(sets, l) >= n > brute_max_surplus(sets, l - 1)
+        assert brute_max_surplus(sets[:t], l) == dec.certificate.max_surplus >= n
+        assert n > brute_max_surplus(sets[: t - 1], l)

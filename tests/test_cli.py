@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cli_process
-from projclass import cli, euler, hall, oracle
+from projclass import cli, euler, oracle
 from projclass.cli import main, oracle_check
-from projclass.errors import HallViolationError, OracleBoundsError, PatternNotFoundError
+from projclass.errors import HallViolationError, OracleBoundsError, WindowTooLargeError
 from projclass.euler import MultilinearPoly
 
 
@@ -75,7 +75,7 @@ def test_analyze_two_ones(capsys, two_ones_file):
     [
         (OracleBoundsError("too big"), 2, "too big"),
         (HallViolationError("violated"), 1, "violated"),
-        (PatternNotFoundError("none"), 1, "none"),
+        (WindowTooLargeError("none"), 1, "none"),
         (json.JSONDecodeError("Expecting value", "x", 0), 2, "malformed JSON: Expecting value: line 1 column 1 (char 0)"),
         (OverflowError("huge"), 2, "a requested size does not fit in a machine integer"),
         (FileNotFoundError("gone"), 2, "gone"),
@@ -599,15 +599,12 @@ def test_subset_sweep_equals_the_frozenset_sweep(sets):
     ],
 )
 def test_oracle_check_consults_every_route(monkeypatch, route, lie):
-    # the route's place among the walk's verdicts, and the module the random
-    # cases read it from
-    index, module = {
-        "sdr_exists": (0, hall), "euler_class": (1, euler), "sdr_count": (2, euler),
-        "_subset_sweep": (3, oracle),
-    }[route]
+    # the route's place among the walk's verdicts; the random cases read
+    # every route from oracle's namespace
+    index = ["sdr_exists", "euler_class", "sdr_count", "_subset_sweep"].index(route)
     assert oracle_check(2, 2, 0, 0)["disagreements"] == 0
     with monkeypatch.context() as patch:
-        patch.setattr(module, route, lie(getattr(module, route)))
+        patch.setattr(oracle, route, lie(getattr(oracle, route)))
         # the 2 exhaustive cases run on the walk, the 30 random ones per
         # case; over one element they repeat, and every draw still counts
         assert oracle_check(1, 1, 30, 5)["disagreements"] == 30

@@ -16,7 +16,7 @@ from conftest import (
     triangular,
 )
 from projclass import hall
-from projclass.classify import LABEL_FULL, classify, verify_minorization_pattern
+from projclass.classify import LABEL_FULL, classify
 from projclass.family import (
     Constant,
     DisjointBlocks,
@@ -320,19 +320,6 @@ def test_positive_answer_builds_no_supremum_witness():
     assert dec.decision and dec.window == 1
     assert dec.certificate.witness_F == (1,)
     assert dec.certificate.matching == ((1, 1),)
-
-
-def test_pattern_matches_each_window_once_per_multiplicity(monkeypatch):
-    # N(m), fitting at each probed l and the row's window all read one
-    # profile per multiplicity: 11 distinct (window, n) pairs, one matching each
-    fam = ProjectionFamily(
-        (frozenset({1, 2}), frozenset({2, 3}), frozenset({3, 4}), frozenset({1})),
-        DisjointBlocks(1, 0, 5),
-    )
-    calls = count_matchings(monkeypatch)
-    rows = verify_minorization_pattern(fam, 4).rows
-    assert [(r.n_threshold, r.l) for r in rows] == [(1, 2), (6, 3), (12, 4), (19, 5)]
-    assert len(calls) == 11
 
 
 @pytest.mark.parametrize(
