@@ -84,14 +84,13 @@ def _strict_sample_start(fam: ProjectionFamily) -> int:
 class Classification(NamedTuple):
     """Dichotomy verdict plus its certificate.
 
-    Non-full: table m -> N(m), the maximal trivial multiplicity k, and the
-    tight set behind it.  Full: the least unbounded multiplicity and ten
+    Non-full: table m -> N(m) and the tight set, which carries the maximal
+    trivial multiplicity k.  Full: the least unbounded multiplicity and ten
     strictly increasing window surpluses at it.
     """
 
     label: str
     n_table: dict[int, int] | None = None
-    k: int | None = None
     tight_set: TightSet | None = None
     witness_m: int | None = None
     surplus_samples: tuple[tuple[int, int], ...] | None = None
@@ -101,7 +100,7 @@ class Classification(NamedTuple):
             return {
                 "label": self.label,
                 "N_table": {str(m): n for m, n in self.n_table.items()},
-                "k": self.k,
+                "k": self.tight_set.k,
                 "F0": list(self.tight_set.positions),
             }
         return {
@@ -128,4 +127,4 @@ def classify(fam: ProjectionFamily, m_max: int = 6) -> Classification:
         if isinstance(n, Infinite):
             raise AssertionError("non-full shape produced an unbounded threshold")
         table[m] = n
-    return Classification(LABEL_NON_FULL, n_table=table, k=tight.k, tight_set=tight)
+    return Classification(LABEL_NON_FULL, n_table=table, tight_set=tight)

@@ -39,7 +39,7 @@ import itertools
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .classify import find_tight_set
+from .classify import TightSet, find_tight_set
 from .errors import HallViolationError, WindowTooLargeError
 from .family import FiniteFamily, ProjectionFamily, reindex_to_odd, window
 from .hall import augment, sdr_exists
@@ -362,22 +362,20 @@ def hall_check_gamma(gamma: GammaFamily) -> bool:
 
 
 class SimulationReport(NamedTuple):
-    """Everything one simulator run produced, certificates included."""
+    """Everything one simulator run produced; its one verdict prints as both *_ok keys."""
 
     entries: int
     transversal_ok: bool
-    hall_ok: bool
-    k: int
-    tight_positions: tuple[int, ...]
+    tight: TightSet
     transversal: Transversal
 
     def to_doc(self) -> dict:
         return {
             "entries": self.entries,
             "transversal_ok": self.transversal_ok,
-            "hall_ok": self.hall_ok,
-            "k": self.k,
-            "F0": list(self.tight_positions),
+            "hall_ok": self.transversal_ok,
+            "k": self.tight.k,
+            "F0": list(self.tight.positions),
         }
 
 
@@ -400,11 +398,4 @@ def simulate(
     entries = entry_count(depth, window_w, prefix_len, entry_cap)
     trans = build_transversal(odd, depth, window_w, prefix_len, tight.k, tight.positions)
     ok = verify_transversal(trans, odd, depth, window_w, prefix_len, tight.k)
-    return SimulationReport(
-        entries=entries,
-        transversal_ok=ok,
-        hall_ok=ok,
-        k=tight.k,
-        tight_positions=tight.positions,
-        transversal=trans,
-    )
+    return SimulationReport(entries, ok, tight, trans)

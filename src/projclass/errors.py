@@ -1,10 +1,12 @@
 """Exception hierarchy shared across the package.
 
-Every error the package raises derives from ProjclassError, and its class
-carries the command line's exit code: 2 for a request the program refuses
-(a bad document, an out-of-range query, a request past a size cap), 1 for a
-guard that trips while the request runs (the orbit entry cap, a Hall
-violation).  cli.main maps every other exception once, in cli._failure.
+The package's own errors derive from ProjclassError, and each class carries
+the command line's exit code: 2 for a request the program refuses (a bad
+document, an out-of-range query, a request past a size cap), 1 for a guard
+that trips while the request runs (the orbit entry cap, a Hall violation).
+Range checks raise ValueError: hall.max_surplus, SurplusProfile and its
+reach, decide_trivial_minorization, classify, entry_count, alpha,
+expand_multiplicity and cli._decimal.  cli._failure maps it to exit 2.
 """
 
 

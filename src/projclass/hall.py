@@ -221,29 +221,27 @@ class MinorizationDecision(NamedTuple):
     For a positive answer, `window` is the smallest window length whose
     surplus at multiplicity n reaches m and `certificate` is that window's
     surplus report.  For a negative answer the certificate carries the
-    supremum witness.  `surplus_sup` is the supremum over all finite windows,
-    INFINITE when unbounded.
+    supremum witness.  `sup` is the supremum over all finite windows.
     """
 
     decision: bool
     m: int
     n: int
-    surplus_sup: int | Infinite
+    sup: SurplusSup
     window: int
     certificate: SurplusReport
-    unbounded_reason: str | None = None
 
     def to_doc(self) -> dict:
         doc = {
             "decision": self.decision,
             "m": self.m,
             "n": self.n,
-            "surplus_sup": "infinite" if isinstance(self.surplus_sup, Infinite) else self.surplus_sup,
+            "surplus_sup": "infinite" if isinstance(self.sup.value, Infinite) else self.sup.value,
             "window": self.window,
         }
         doc.update(self.certificate.to_doc())
-        if self.unbounded_reason:
-            doc["unbounded_reason"] = self.unbounded_reason
+        if self.sup.reason:
+            doc["unbounded_reason"] = self.sup.reason
         return doc
 
 
@@ -416,9 +414,9 @@ def decide_trivial_minorization(fam: ProjectionFamily, m: int, n: int) -> Minori
     profile = SurplusProfile(fam, n)
     sup = profile.sup()
     if not isinstance(sup.value, Infinite) and sup.value < m:
-        return MinorizationDecision(False, m, n, sup.value, sup.window, profile.report(sup.window))
+        return MinorizationDecision(False, m, n, sup, sup.window, profile.report(sup.window))
     t = profile.reach(m)
     rep = profile.report(t)
     if rep.max_surplus < m:
         raise AssertionError("certified surplus not reached")
-    return MinorizationDecision(True, m, n, sup.value, t, rep, sup.reason)
+    return MinorizationDecision(True, m, n, sup, t, rep)

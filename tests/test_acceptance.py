@@ -185,8 +185,8 @@ def test_criterion_4_classifier_dichotomy(capsys):
     # invariance under the odd relabelling
     for fam in (triangular(), padded_triangular(), SINGLETON_BLOCKS, CONSTANT_ONE):
         a, b = classify(fam), classify(reindex_to_odd(fam))
-        ok = ok and (a.label, a.n_table, a.k, a.witness_m) == (
-            b.label, b.n_table, b.k, b.witness_m)
+        ok = ok and (a.label, a.n_table, a.tight_set, a.witness_m) == (
+            b.label, b.n_table, b.tight_set, b.witness_m)
     # invariance under prefix permutation
     rng = random.Random(4)
     base = (frozenset({1}), frozenset({1}), frozenset({2}), frozenset({2}))
@@ -195,8 +195,8 @@ def test_criterion_4_classifier_dichotomy(capsys):
         perm = list(base)
         rng.shuffle(perm)
         got = classify(ProjectionFamily(tuple(perm), DisjointBlocks(1, 0, 3)))
-        ok = ok and (got.label, got.n_table, got.k) == (
-            reference.label, reference.n_table, reference.k)
+        ok = ok and (got.label, got.n_table, got.tight_set.k) == (
+            reference.label, reference.n_table, reference.tight_set.k)
     _report(capsys, "criterion 4: dichotomy labels, growing samples, relabel invariance", ok)
 
 
@@ -209,8 +209,8 @@ def test_criterion_5_endomorphism_simulation(capsys):
             for w in range(3):
                 for t in range(1, 7):
                     report = simulate(fam, depth=depth, window_w=w, prefix_len=t)
-                    ok = ok and report.transversal_ok and report.hall_ok
-                    ok = ok and report.k == expected_k
+                    ok = ok and report.transversal_ok
+                    ok = ok and report.tight.k == expected_k
                     runs += 1
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 60.0

@@ -28,8 +28,10 @@ from projclass.family import (
     reindex_to_odd,
     window,
 )
+from projclass.dynamics import simulate
 from projclass.hall import (
     INFINITE,
+    decide_trivial_minorization,
     max_surplus,
 )
 
@@ -89,7 +91,7 @@ def test_classify_triangular():
     got = classify(triangular())
     assert got.label == LABEL_NON_FULL
     assert got.n_table == {1: 1, 2: 2, 3: 4, 4: 7, 5: 11, 6: 16}
-    assert got.k == 0
+    assert got.tight_set.k == 0
     assert got.tight_set.positions == ()
 
 
@@ -208,10 +210,10 @@ def test_classify_invariant_under_reindex():
     for fam in (triangular(), padded_triangular(), CONSTANT_ONE, SINGLETON_BLOCKS):
         a = classify(fam)
         b = classify(reindex_to_odd(fam))
-        assert (a.label, a.n_table, a.k, a.witness_m) == (
+        assert (a.label, a.n_table, a.tight_set, a.witness_m) == (
             b.label,
             b.n_table,
-            b.k,
+            b.tight_set,
             b.witness_m,
         )
 
@@ -223,7 +225,7 @@ def test_classify_invariant_under_prefix_permutation(perm):
     fam = ProjectionFamily(tuple(base[i] for i in perm), DisjointBlocks(1, 0, 3))
     got = classify(fam)
     assert got.label == LABEL_NON_FULL
-    assert got.k == 2
+    assert got.tight_set.k == 2
     assert got.n_table == classify(ProjectionFamily(base, DisjointBlocks(1, 0, 3))).n_table
 
 
@@ -267,3 +269,33 @@ def test_verify_minorization_pattern_rows_hold_to_brute_force(fam, m_max):
         assert brute_max_surplus(sets, l) >= n > brute_max_surplus(sets, l - 1)
         assert brute_max_surplus(sets[:t], l) == dec.certificate.max_surplus >= n
         assert n > brute_max_surplus(sets[: t - 1], l)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    fam=st.one_of(
+        block_families(), block_families(constant=True), block_families(finite=True)
+    ),
+    depth=st.integers(1, 2),
+    w=st.integers(0, 1),
+    p=st.integers(0, 6),
+    m=st.integers(1, 8),
+    n=st.integers(1, 4),
+)
+def test_each_record_holds_the_record_its_decision_read(fam, depth, w, p, m, n):
+    # the held TightSet or SurplusSup equals a fresh one, and every document
+    # key the record prints is read off it
+    decision = decide_trivial_minorization(fam, m, n)
+    assert decision.sup == surplus_sup(fam, n)
+    assert decision.to_doc().get("unbounded_reason") == decision.sup.reason
+    got = classify(fam, 2)
+    if got.label == LABEL_NON_FULL:
+        assert got.tight_set == find_tight_set(fam)
+        assert got.to_doc()["k"] == got.tight_set.k
+    if surplus_sup(fam, 1).value is INFINITE:
+        return  # simulate refuses: there is no tight set
+    p = p if fam.tail is not None else min(p, len(fam.prefix))
+    report = simulate(fam, depth, w, p)
+    assert report.tight == find_tight_set(reindex_to_odd(fam))
+    doc = report.to_doc()
+    assert (doc["k"], doc["F0"]) == (report.tight.k, list(report.tight.positions))

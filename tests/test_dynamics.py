@@ -23,7 +23,7 @@ from projclass.dynamics import (
 )
 from projclass import hall
 from projclass.errors import FullFamilyError, HallViolationError, WindowTooLargeError
-from projclass.classify import find_tight_set
+from projclass.classify import TightSet, find_tight_set
 from projclass.family import Constant, DisjointBlocks, ProjectionFamily, reindex_to_odd, window
 
 
@@ -319,11 +319,12 @@ def test_lifting_identity():
 
 def test_simulate_reports_all_checks():
     report = simulate(triangular(), depth=2, window_w=1, prefix_len=3)
-    assert report.transversal_ok and report.hall_ok
-    assert report.k == 0 and report.tight_positions == ()
+    assert report.transversal_ok
+    assert report.tight == TightSet((), 0)
     assert report.entries == 27
     doc = report.to_doc()
     assert set(doc) == {"entries", "transversal_ok", "hall_ok", "k", "F0"}
+    assert doc["hall_ok"] is doc["transversal_ok"] is report.transversal_ok
 
 
 def test_simulate_refuses_full_families():
@@ -343,7 +344,6 @@ def test_simulate_always_verifies_on_supported_families(depth, w, t):
     for fam in (triangular(), padded_triangular()):
         report = simulate(fam, depth=depth, window_w=w, prefix_len=t)
         assert report.transversal_ok
-        assert report.hall_ok
         assert report.entries == (2 * w + 1) ** depth * t
 
 
@@ -425,7 +425,7 @@ def test_simulate_makes_only_the_tight_set_matching(monkeypatch):
     monkeypatch.setattr(hall, "max_matching", counted)
     for fam, positions in ((triangular(), [0]), (padded_triangular(), [2])):
         made.clear()
-        assert simulate(fam, 2, 1, 3).hall_ok
+        assert simulate(fam, 2, 1, 3).transversal_ok
         assert made == positions
 
 
@@ -617,5 +617,5 @@ def test_deep_orbit_interns_one_wrap_per_layer():
     # linearly in the depth (each layer wraps the one term once)
     depth = 20_000
     report = simulate(triangular(), depth=depth, window_w=0, prefix_len=1)
-    assert report.transversal_ok and report.hall_ok and report.entries == 1
+    assert report.transversal_ok and report.entries == 1
     assert len(report.transversal.table.nodes) <= depth + 10

@@ -122,7 +122,7 @@ def test_matching_pairs_live_in_their_sets():
 def test_decide_triangular_has_no_trivial_summand():
     decision = decide_trivial_minorization(triangular(), 1, 1)
     assert decision.decision is False
-    assert decision.surplus_sup == 0
+    assert decision.sup.value == 0
 
 
 def test_decide_two_ones_finite_family():
