@@ -287,7 +287,9 @@ def test_each_record_holds_the_record_its_decision_read(fam, depth, w, p, m, n):
     # key the record prints is read off it
     decision = decide_trivial_minorization(fam, m, n)
     assert decision.sup == surplus_sup(fam, n)
-    assert decision.to_doc().get("unbounded_reason") == decision.sup.reason
+    doc = decision.to_doc()
+    assert doc.get("unbounded_reason") == decision.sup.reason
+    assert ("unbounded_reason" in doc) == (decision.sup.reason is not None)
     got = classify(fam, 2)
     if got.label == LABEL_NON_FULL:
         assert got.tight_set == find_tight_set(fam)
