@@ -36,8 +36,7 @@ verbatim.
 from __future__ import annotations
 
 import itertools
-from functools import partial
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .classify import TightSet, find_tight_set
 from .errors import HallViolationError, WindowTooLargeError
@@ -94,11 +93,6 @@ def term_to_doc(table: TermTable, term: int) -> list:
     return doc
 
 
-def _marker(table: TermTable, l: int) -> int:
-    # markers live on the even identifiers, which the odd reindexing reserves
-    return table.base(2 * l)
-
-
 def alpha(table: TermTable, j: int, terms: frozenset[int], k: int) -> frozenset[int]:
     """One dynamics step on a set of term ids.
 
@@ -110,7 +104,8 @@ def alpha(table: TermTable, j: int, terms: frozenset[int], k: int) -> frozenset[
     nu = table.nu
     image = {nu(j, t) for t in terms}
     image.update(table.batom(j, r) for r in range(1, k + 1))
-    image.update(nu(j, _marker(table, l)) for l in range(1, j + 1))
+    # markers live on the even identifiers, which the odd reindexing reserves
+    image.update(nu(j, table.base(2 * l)) for l in range(1, j + 1))
     return frozenset(image)
 
 
@@ -200,55 +195,32 @@ class Transversal(NamedTuple):
         ]
 
 
-def _ordered_matching(candidates: list[Callable[[], Iterable[int]]]) -> list[int] | None:
-    """Deterministic perfect matching honoring candidate order.
+def _ordered_matching(count: int, candidates: Callable[[int], Iterable[int]]) -> list[int] | None:
+    """Deterministic perfect matching of sources 0..count-1 honoring candidate order.
 
-    candidates[s]() yields source s's candidates in preference order; it is
-    called afresh whenever s is visited, so the lists can be built lazily
-    and only as far as they are read.  First pass hands every source its
-    first still-free candidate; stuck sources then match by hall.augment,
-    which tries candidates in the same order.  Returns None when no perfect
-    matching exists.  hall.max_matching is not used here: its
-    BipartiteIncidence needs every candidate list built and interned before
-    matching starts, while this reads and interns them lazily.  Handing each
-    layer to it took endo-sim padded, depth 1, window 4, prefix 200 from
-    24 ms to 354 ms in-process (2 vCPUs), with the same output.
+    candidates(s) gives source s's candidates in preference order, afresh
+    whenever s is visited.  First pass hands every source its first
+    still-free candidate; stuck sources then match by hall.augment, which
+    tries candidates in the same order.  Returns None when no perfect
+    matching exists.  hall.max_matching finds some maximum matching, not
+    this ordered one: handing it the orbit layers changed the printed
+    transversal of 34 of 4000 seeded random simulate calls.
     """
     owner: dict[int, int] = {}
     pending = []
-    for s, stream in enumerate(candidates):
-        free = next((t for t in stream() if t not in owner), None)
+    for s in range(count):
+        free = next((x for x in candidates(s) if x not in owner), None)
         if free is None:
             pending.append(s)
         else:
             owner[free] = s
 
-    if not all(augment(s, lambda r: candidates[r](), owner, set()) for s in pending):
+    if not all(augment(s, candidates, owner, set()) for s in pending):
         return None
-    choice = [0] * len(candidates)
-    for term, s in owner.items():
-        choice[s] = term
+    choice = [0] * count
+    for x, s in owner.items():
+        choice[s] = x
     return choice
-
-
-def _depth1_candidates(
-    table: TermTable, members: frozenset[int], j: int, k: int, pooled: bool
-) -> Iterator[int]:
-    """Candidate term ids for one source in layer j, preference-ordered.
-
-    Own nu-elements first, then the shared markers, and the pool atoms last
-    and only for tight positions: the pool is exactly large enough to absorb
-    the tight set's deficiency, so nobody else may touch it.  Each id is
-    interned when it is read, so a source that takes its first candidate
-    builds only that one.
-    """
-    for i in sorted(members):
-        yield table.nu(j, table.base(i))
-    for l in range(1, j + 1):
-        yield table.nu(j, _marker(table, l))
-    if pooled:
-        for r in range(1, k + 1):
-            yield table.batom(j, r)
 
 
 def build_transversal(
@@ -256,56 +228,52 @@ def build_transversal(
 ) -> Transversal:
     """Construct an injective transversal of the orbit family without building the family.
 
-    Depth 0 is the identity layer: a transversal is exactly a system of
-    distinct representatives of the original window, so it exists iff the
-    window satisfies Hall's condition.  For depth >= 1, each layer j gets its
-    own matching with the pool atoms reserved for the tight positions.  The
-    depth-1 choices are then lifted one layer at a time, each entry under j
-    wrapped in nu(j, .), which keeps distinct paths disjoint because nu is
-    injective.  With j in the outer loop the terms come in Gamma's path order
-    (itertools.product over the layers, sources innermost), and every wrap is
-    interned once per lifted entry, in a fresh TermTable.
+    Each layer is matched once, on plain integers.  A source's row is its
+    sorted members, then in layer j the markers 2l for 1 <= l <= j, then,
+    for tight positions only, the pool atoms -r for 1 <= r <= k: the pool
+    is exactly large enough to absorb the tight set's deficiency, so nobody
+    else may touch it.  Only the chosen x is interned, and distinct x give
+    distinct terms: base(x) at depth 0, where a transversal is a system of
+    distinct representatives of the window; in layer j, nu(j, base(x)) when
+    x > 0 and batom(j, -x) when x < 0.  The depth-1 choices are then lifted
+    one layer at a time, each entry under j wrapped in nu(j, .), which keeps
+    distinct paths disjoint because nu is injective.  With j in the outer
+    loop the terms come in Gamma's path order (itertools.product over the
+    layers, sources innermost), and every wrap is interned once per lifted
+    entry, in a fresh TermTable.
     """
     table = TermTable()
-    base = window(fam, prefix_len)
-    trans = Transversal(table, {})
-    if not base.sets:
+    rows = [sorted(members) for members in window(fam, prefix_len).sets]
+    if not rows:
         # no sources, no entries: there is nothing to match or to enumerate
-        return trans
+        return Transversal(table, {})
 
+    nu, batom, base = table.nu, table.batom, table.base
+    layers = range(-window_w, window_w + 1)
     if depth == 0:
-        candidates = [
-            partial(iter, [table.base(i) for i in sorted(members)]) for members in base.sets
-        ]
-        choice = _ordered_matching(candidates)
+        choice = _ordered_matching(len(rows), rows.__getitem__)
         if choice is None:
             raise HallViolationError(
                 "Hall violation: the identity layer has no distinct-representative system"
             )
-        for s, term in enumerate(choice, 1):
-            trans.assignment[((), s)] = term
-        return trans
+        terms = [base(x) for x in choice]
+    else:
+        pools = dict.fromkeys(tight_positions, range(-1, -k - 1, -1))
+        terms = []
+        for j in layers:
+            markers = range(2, 2 * j + 1, 2)
+            choice = _ordered_matching(
+                len(rows), lambda s: itertools.chain(rows[s], markers, pools.get(s + 1, ()))
+            )
+            if choice is None:
+                raise HallViolationError("Hall violation: premises inconsistent")
+            terms.extend(nu(j, base(x)) if x > 0 else batom(j, -x) for x in choice)
 
-    layers = range(-window_w, window_w + 1)
-    tight = frozenset(tight_positions)
-    terms: list[int] = []
-    for j in layers:
-        candidates = [
-            partial(_depth1_candidates, table, members, j, k, s in tight)
-            for s, members in enumerate(base.sets, 1)
-        ]
-        choice = _ordered_matching(candidates)
-        if choice is None:
-            raise HallViolationError("Hall violation: premises inconsistent")
-        terms.extend(choice)
-
-    nu = table.nu
     for _ in range(depth - 1):
         terms = [nu(j, t) for j in layers for t in terms]
-    sources = range(1, len(base.sets) + 1)
+    sources = range(1, len(rows) + 1)
     keys = ((path, s) for path in itertools.product(layers, repeat=depth) for s in sources)
-    trans.assignment.update(zip(keys, terms))
-    return trans
+    return Transversal(table, dict(zip(keys, terms)))
 
 
 def verify_transversal(

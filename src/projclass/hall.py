@@ -344,18 +344,18 @@ class SurplusProfile:
         k = _blocks_below(tail, n, n) if isinstance(tail, DisjointBlocks) else 0
         return SurplusSup(self.surplus(p + k), p + k, None)
 
-    def reach(self, target: int) -> int:
+    def reach(self, target: int, sup: SurplusSup) -> int:
         """The smallest window t with S(t) >= target, by one bisection of S.
 
-        Past the prefix each tail block adds at least 1 until the target is
-        reached, and SC >= -|C|, so window p + target + |C| reaches it.
-        The empty window 0 has surplus 0, so it reaches any target <= 0.
+        sup is this profile's sup(), which the caller holds.  Past the
+        prefix each tail block adds at least 1 until the target is reached,
+        and SC >= -|C|, so window p + target + |C| reaches it.  The empty
+        window 0 has surplus 0, so it reaches any target <= 0.
         """
         if target <= 0:
             return 0
-        sup = self.sup().value
-        if not isinstance(sup, Infinite) and target > sup:
-            raise ValueError(f"no window reaches surplus {target}: the supremum is {sup}")
+        if not isinstance(sup.value, Infinite) and target > sup.value:
+            raise ValueError(f"no window reaches surplus {target}: the supremum is {sup.value}")
         p, tail = self.p, self.fam.tail
         if target <= self.surplus(p):
             lo, hi = 1, p
@@ -399,7 +399,8 @@ def surplus_sup(fam: ProjectionFamily, n: int) -> SurplusSup:
 
 def surplus_window_bound(fam: ProjectionFamily, n: int, target: int) -> int:
     """The smallest window whose surplus at multiplicity n reaches target; ValueError if none does."""
-    return SurplusProfile(fam, n).reach(target)
+    profile = SurplusProfile(fam, n)
+    return profile.reach(target, profile.sup())
 
 
 def decide_trivial_minorization(fam: ProjectionFamily, m: int, n: int) -> MinorizationDecision:
@@ -415,7 +416,7 @@ def decide_trivial_minorization(fam: ProjectionFamily, m: int, n: int) -> Minori
     sup = profile.sup()
     if not isinstance(sup.value, Infinite) and sup.value < m:
         return MinorizationDecision(False, m, n, sup, sup.window, profile.report(sup.window))
-    t = profile.reach(m)
+    t = profile.reach(m, sup)
     rep = profile.report(t)
     if rep.max_surplus < m:
         raise AssertionError("certified surplus not reached")

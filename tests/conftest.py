@@ -45,24 +45,24 @@ def finite(*sets) -> FiniteFamily:
 
 
 def brute_max_surplus(sets, n: int = 1) -> int:
-    """max over all subsets F of n|F| - |union F|, empty subset included."""
-    best = 0
-    masks = _element_masks(sets)
-    for choice in range(1, 1 << len(sets)):
-        union = 0
-        size = 0
-        for i, m in enumerate(masks):
-            if choice >> i & 1:
-                union |= m
-                size += 1
-        best = max(best, n * size - union.bit_count())
-    return best
+    """max over all subsets F of n|F| - |union F|, empty subset included.
 
-
-def _element_masks(sets) -> list[int]:
+    Subsets are bitmasks over the positions, and each union is the union of
+    the subset without its lowest position, kept from before, or'ed with
+    that position's set: one OR per subset.
+    """
     ground = sorted(set().union(*sets)) if sets else []
     pos = {e: i for i, e in enumerate(ground)}
-    return [sum(1 << pos[e] for e in s) for s in sets]
+    masks = [sum(1 << pos[e] for e in s) for s in sets]
+    unions = [0] * (1 << len(sets))
+    best = 0
+    for choice in range(1, 1 << len(sets)):
+        low = choice & -choice
+        unions[choice] = unions[choice ^ low] | masks[low.bit_length() - 1]
+        surplus = n * choice.bit_count() - unions[choice].bit_count()
+        if surplus > best:
+            best = surplus
+    return best
 
 
 def brute_max_matching(sets) -> int:

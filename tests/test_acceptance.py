@@ -14,6 +14,7 @@ import time
 from conftest import (
     CONSTANT_ONE,
     SINGLETON_BLOCKS,
+    brute_max_surplus,
     brute_sdr_count,
     padded_triangular,
     pattern_rows,
@@ -71,24 +72,6 @@ def _random_corpus(count: int, seed: int = 20260819):
         )
 
 
-def _brute_surplus_bitmask(sets) -> int:
-    masks = []
-    ground = sorted(set().union(*sets)) if sets else []
-    pos = {e: i for i, e in enumerate(ground)}
-    for s in sets:
-        masks.append(sum(1 << pos[e] for e in s))
-    best = 0
-    n = len(sets)
-    unions = [0] * (1 << n)
-    for choice in range(1, 1 << n):
-        low = choice & -choice
-        unions[choice] = unions[choice ^ low] | masks[low.bit_length() - 1]
-        surplus = choice.bit_count() - unions[choice].bit_count()
-        if surplus > best:
-            best = surplus
-    return best
-
-
 def test_criterion_1_quadratic_bound_formula(capsys):
     t0 = time.perf_counter()
     fam = triangular()
@@ -114,14 +97,14 @@ def test_criterion_2_defect_formula_equivalence(capsys):
     for combo in _exhaustive_corpus():
         fam = FiniteFamily(combo)
         size, _, _ = max_matching(BipartiteIncidence.from_family(fam))
-        if size != 4 - _brute_surplus_bitmask(combo):
+        if size != 4 - brute_max_surplus(combo):
             ok = False
             break
         checked += 1
     for combo in _random_corpus(1000):
         fam = FiniteFamily(combo)
         size, _, _ = max_matching(BipartiteIncidence.from_family(fam))
-        if size != len(combo) - _brute_surplus_bitmask(combo):
+        if size != len(combo) - brute_max_surplus(combo):
             ok = False
             break
         checked += 1

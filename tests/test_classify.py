@@ -76,6 +76,18 @@ def test_classify_builds_only_the_tight_sets_witness(monkeypatch):
     assert built == [1]
 
 
+def test_a_decision_computes_the_supremum_once(monkeypatch):
+    # the reaching window is searched under the supremum the decision holds:
+    # a yes, (4, 4), and two noes each compute it once
+    made = []
+    sup = hall.SurplusProfile.sup
+    monkeypatch.setattr(hall.SurplusProfile, "sup", lambda self: made.append(self.n) or sup(self))
+    for m, n, answer in ((4, 4, True), (3, 2, False), (1, 1, False)):
+        made.clear()
+        assert decide_trivial_minorization(triangular(), m, n).decision is answer
+        assert made == [n]
+
+
 def test_compute_N_is_quadratic_for_growing_blocks():
     for m in range(1, 9):
         assert compute_N(triangular(), m) == m * (m - 1) // 2 + 1

@@ -1,6 +1,5 @@
 import itertools
 import time
-from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,7 +9,6 @@ from projclass.dynamics import (
     DEFAULT_ENTRY_CAP,
     TermTable,
     Transversal,
-    _depth1_candidates,
     _ordered_matching,
     alpha,
     build_transversal,
@@ -362,7 +360,7 @@ def test_ordered_matching_long_augmenting_path():
     # greedy gives source j its first candidate j; the last source then
     # needs one alternating path through all 5000 sources
     candidates = [[j, j + 1] for j in range(1, 5000)] + [[1]]
-    choice = _ordered_matching([partial(iter, c) for c in candidates])
+    choice = _ordered_matching(len(candidates), candidates.__getitem__)
     assert choice == list(range(2, 5001)) + [1]
 
 
@@ -371,32 +369,31 @@ def test_ordered_matching_searches_each_stuck_source_afresh():
     # source 0 to 3, and source 3's path must try 3 again, so a seen set kept
     # from the first search would miss it
     candidates = [[1, 3, 4], [2, 3], [1], [2]]
-    assert _ordered_matching([partial(iter, c) for c in candidates]) == [4, 3, 1, 2]
+    assert _ordered_matching(len(candidates), candidates.__getitem__) == [4, 3, 1, 2]
 
 
-@given(
-    members=st.frozensets(st.integers(1, 9).map(lambda i: 2 * i - 1), max_size=4),
-    j=st.integers(-3, 3),
-    k=st.integers(0, 2),
-    pooled=st.booleans(),
-)
-def test_depth1_candidates_keep_their_preference_order(members, j, k, pooled):
-    # own nu-elements by identifier, then the markers, then (tight only) the pool
-    t = TermTable()
-    got = [term_to_doc(t, c) for c in _depth1_candidates(t, members, j, k, pooled)]
-    expected = [["nu", j, ["base", i]] for i in sorted(members)]
-    expected += [["nu", j, ["base", 2 * l]] for l in range(1, j + 1)]
-    expected += [["batom", j, r] for r in range(1, k + 1)] if pooled else []
-    assert got == expected
+def test_build_transversal_prefers_members_then_markers_then_the_pool():
+    # two copies of {1} and one pool atom, at window 1: each rank is taken
+    # at some layer, and the marker of layer 1 goes before the pool
+    fam = ProjectionFamily((frozenset({1}), frozenset({1})))
+    assert find_tight_set(fam) == TightSet((1, 2), 1)
 
+    def dump(tight_positions):
+        trans = build_transversal(fam, 1, 1, 2, 1, tight_positions)
+        return [(e["path"][0], e["source"], e["term"]) for e in trans.to_doc()]
 
-def test_depth1_candidates_are_built_as_read():
-    t = TermTable()
-    stream = _depth1_candidates(t, frozenset(range(1, 400, 2)), 3, 2, True)
-    assert len(t.nodes) == 1
-    first = next(stream)
-    # one base and one nu node, not the 200 + 3 + 2 candidates of the list
-    assert term_to_doc(t, first) == ["nu", 3, ["base", 1]] and len(t.nodes) == 3
+    assert dump((1, 2)) == [
+        (-1, 1, ["nu", -1, ["base", 1]]), (-1, 2, ["batom", -1, 1]),
+        (0, 1, ["nu", 0, ["base", 1]]), (0, 2, ["batom", 0, 1]),
+        (1, 1, ["nu", 1, ["base", 1]]), (1, 2, ["nu", 1, ["base", 2]]),
+    ]
+    # the pool is offered to tight positions only: where no marker is free,
+    # source 2 takes identifier 1 off source 1 by an alternating path
+    assert dump((1,)) == [
+        (-1, 1, ["batom", -1, 1]), (-1, 2, ["nu", -1, ["base", 1]]),
+        (0, 1, ["batom", 0, 1]), (0, 2, ["nu", 0, ["base", 1]]),
+        (1, 1, ["nu", 1, ["base", 1]]), (1, 2, ["nu", 1, ["base", 2]]),
+    ]
 
 
 def test_build_transversal_interns_no_new_terms():
@@ -440,9 +437,8 @@ def materialized_simulate(fam, depth, w, p, cap=DEFAULT_ENTRY_CAP):
     gamma = gamma_iterate(odd, p, w, depth, tight.k, cap)
     table, sets = gamma.table, window(odd, p).sets
     if depth == 0:
-        choice = _ordered_matching(
-            [partial(iter, [table.base(i) for i in sorted(members)]) for members in sets]
-        )
+        rows = [[table.base(i) for i in sorted(members)] for members in sets]
+        choice = _ordered_matching(len(rows), rows.__getitem__)
         if choice is None:
             raise HallViolationError(
                 "Hall violation: the identity layer has no distinct-representative system"
@@ -451,10 +447,15 @@ def materialized_simulate(fam, depth, w, p, cap=DEFAULT_ENTRY_CAP):
     else:
         depth1 = {}
         for j in range(-w, w + 1):
-            choice = _ordered_matching([
-                partial(_depth1_candidates, table, members, j, tight.k, s in tight.positions)
+            # alpha's definition as a preference order: own nu-images, the
+            # markers, and the pool for tight positions only
+            rows = [
+                [table.nu(j, table.base(i)) for i in sorted(members)]
+                + [table.nu(j, table.base(2 * l)) for l in range(1, j + 1)]
+                + [table.batom(j, r) for r in range(1, tight.k + 1) if s in tight.positions]
                 for s, members in enumerate(sets, 1)
-            ])
+            ]
+            choice = _ordered_matching(len(rows), rows.__getitem__)
             if choice is None:
                 raise HallViolationError("Hall violation: premises inconsistent")
             depth1.update(((j, s), term) for s, term in enumerate(choice, 1))
