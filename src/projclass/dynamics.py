@@ -40,7 +40,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .classify import TightSet, find_tight_set
 from .errors import HallViolationError, WindowTooLargeError
-from .family import FiniteFamily, ProjectionFamily, reindex_to_odd, window
+from .family import FiniteFamily, ProjectionFamily, eval_set, reindex_to_odd, window
 from .hall import augment, sdr_exists
 
 DEFAULT_ENTRY_CAP = 10_000
@@ -229,7 +229,8 @@ def build_transversal(
     """Construct an injective transversal of the orbit family without building the family.
 
     Each layer is matched once, on plain integers.  A source's row is its
-    sorted members, then in layer j the markers 2l for 1 <= l <= j, then,
+    members in increasing order (a tail block is its range, never built),
+    then in layer j the markers 2l for 1 <= l <= j, then,
     for tight positions only, the pool atoms -r for 1 <= r <= k: the pool
     is exactly large enough to absorb the tight set's deficiency, so nobody
     else may touch it.  Only the chosen x is interned, and distinct x give
@@ -243,7 +244,8 @@ def build_transversal(
     entry, in a fresh TermTable.
     """
     table = TermTable()
-    rows = [sorted(members) for members in window(fam, prefix_len).sets]
+    sets = (eval_set(fam, j) for j in range(1, prefix_len + 1))
+    rows = [s if isinstance(s, range) else sorted(s) for s in sets]
     if not rows:
         # no sources, no entries: there is nothing to match or to enumerate
         return Transversal(table, {})
@@ -289,15 +291,15 @@ def verify_transversal(
     batom(j, r) with 1 <= r <= k or a marker nu(j, base(2l)) with
     1 <= l <= j, and is a member; otherwise it must be nu(j, inner), and
     inner is checked at the next layer.  Past the innermost layer it must be
-    base(i) with i in the source's set.  An id the table never issued is
-    rejected.
+    base(i) with i in the source's set, by eval_set: a tail block's range
+    answers it by arithmetic.  An id the table never issued is rejected.
     """
     nodes = trans.table.nodes
     assignment = trans.assignment
-    sets = window(fam, prefix_len).sets
     layers = range(-window_w, window_w + 1)
     seen: set[int] = set()
-    for s, members in enumerate(sets, 1):
+    for s in range(1, prefix_len + 1):
+        members = eval_set(fam, s)
         for path in itertools.product(layers, repeat=depth):
             term = assignment.get((path, s))
             if term is None or not 0 < term < len(nodes) or term in seen:

@@ -96,17 +96,12 @@ class DisjointBlocks(_Checked, _BlockFields):
     def size(self, i: int) -> int:
         return self.a * i + self.b
 
-    def first(self, i: int) -> int:
-        """Smallest identifier of the i-th tail block."""
-        before = self.a * (i - 1) * i // 2 + self.b * (i - 1)
-        return self.start + self.stride * before
-
-    def block(self, i: int) -> IndexSet:
-        """The i-th tail block, i >= 1 counted from the first tail position."""
+    def block(self, i: int) -> range:
+        """The i-th tail block as a range, i >= 1 counted from the first tail position."""
         if i < 1:
             raise FamilyIndexError(f"tail blocks are 1-based, got {i}")
-        first = self.first(i)
-        return frozenset(range(first, first + self.stride * self.size(i), self.stride))
+        first = self.start + self.stride * (self.a * (i - 1) * i // 2 + self.b * (i - 1))
+        return range(first, first + self.stride * self.size(i), self.stride)
 
 
 TailRule = Constant | DisjointBlocks
@@ -156,8 +151,8 @@ class FiniteFamily(_Checked, _FiniteFields):
         return len(self.sets)
 
 
-def eval_set(fam: ProjectionFamily, j: int) -> IndexSet:
-    """The j-th index set of the family, positions counted from 1."""
+def eval_set(fam: ProjectionFamily, j: int) -> IndexSet | range:
+    """The j-th index set of the family, positions counted from 1; a tail block is a range."""
     if j < 1:
         raise FamilyIndexError(f"positions are 1-based, got {j}")
     if j <= len(fam.prefix):
@@ -170,7 +165,7 @@ def eval_set(fam: ProjectionFamily, j: int) -> IndexSet:
 
 
 def window(fam: ProjectionFamily, t: int) -> FiniteFamily:
-    """The finite family of the first t positions."""
+    """The finite family of the first t positions, tail blocks frozen like every set."""
     if t < 0:
         raise FamilyIndexError(f"window length must be >= 0, got {t}")
     return FiniteFamily(tuple(eval_set(fam, j) for j in range(1, t + 1)))

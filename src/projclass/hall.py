@@ -377,7 +377,7 @@ class SurplusProfile:
         Past the prefix of a block tail the kept prefix report is extended
         by witness(t), and block i's copy c <= min(n, size(i)) sits at
         expanded position (p+i-1)*n + c matched to the block's c-th smallest
-        identifier, as max_surplus numbers it.
+        identifier, as max_surplus numbers it: the first n of the range.
         """
         tail, p, n = self.fam.tail, self.p, self.n
         if t <= p or not isinstance(tail, DisjointBlocks):
@@ -385,9 +385,7 @@ class SurplusProfile:
         witness = self.witness(t)  # first: past ssize_t it raises, where the matching runs on
         rep, blocks = self._match(p), range(1, t - p + 1)
         matching = rep.matching + tuple(
-            ((p + i - 1) * n + c, tail.first(i) + tail.stride * (c - 1))
-            for i in blocks
-            for c in range(1, min(n, tail.size(i)) + 1)
+            ((p + i - 1) * n + c, x) for i in blocks for c, x in enumerate(tail.block(i)[:n], 1)
         )
         return SurplusReport(self.surplus(t), witness, matching)
 

@@ -14,6 +14,11 @@ import os
 import subprocess
 import sys
 
+try:
+    import resource
+except ImportError:  # not on Windows: there the children run unlimited
+    resource = None
+
 from hypothesis import strategies as st
 
 from projclass.classify import compute_N
@@ -178,13 +183,20 @@ def assert_certificate_replays(fam: ProjectionFamily, doc: dict) -> None:
     assert n * len(doc["witness_F"]) - len(union) == doc["max_surplus"]
 
 
+def _budget() -> None:
+    """Cap the child at 512 MiB of address space and 10 s of CPU; the test process keeps none."""
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+    resource.setrlimit(resource.RLIMIT_CPU, (10, 10))
+
+
 def python_process(*args: str, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
-    """Run python with src on its path and env's variables set."""
+    """Run python with src on its path and env's variables set, under _budget where it applies."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True, text=True, env={**os.environ, **(env or {}), "PYTHONPATH": path}, timeout=60,
+        preexec_fn=_budget if hasattr(resource, "RLIMIT_AS") else None,
     )
 
 

@@ -13,7 +13,9 @@ product over its work cap, an orbit of a full family (no tight set), an
 orbit whose identity layer (depth 0) breaks Hall's condition, requests just
 under and just over the orbit entry cap and the oracle's case cap, an orbit
 of depth 10^6 over the entry cap, an orbit of depth 10^9 with no entries,
-and a negative and a small PROJCLASS_ENTRY_CAP.  Each CLI range refusal has
+orbits over tail blocks of 10^8 and of 10^30 identifiers (the second
+dumping its assignment), which build no block, and a negative and a small
+PROJCLASS_ENTRY_CAP.  Each CLI range refusal has
 a case too: analyze and nbound at m = 0, classify at m-max 0, endo-sim at a
 negative depth or window, and oracle-check at max-sets 0, max-ground 18 or
 a negative random count.  So do an Euler coordinate 0, a fractional Euler
@@ -23,14 +25,15 @@ not an array, an unknown kind, an unknown family or none-tail key, a
 constant tail without its set, blocks with a = -1 or start 0), and an
 orbit prefix past a finite family.  A failed request prints nothing on
 stdout and exactly one `error: ` line on stderr; no request prints a
-traceback.
+traceback.  Every case runs under conftest's budget: 512 MiB of address
+space and 10 s of CPU, set in the child only.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from conftest import cli_process
+from conftest import cli_process, python_process, resource
 from corpora import adversarial_argv, adversarial_cases
 
 CASES = adversarial_cases()
@@ -46,3 +49,9 @@ def test_adversarial_request(tmp_path, case):
     else:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert proc.stdout == ""
+
+
+@pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no address-space limit here")
+def test_every_child_runs_under_the_budget():
+    probe = "import resource as r; print(r.getrlimit(r.RLIMIT_AS)[0], r.getrlimit(r.RLIMIT_CPU)[0])"
+    assert python_process("-c", probe).stdout.split() == [str(512 << 20), "10"]

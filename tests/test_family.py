@@ -34,7 +34,7 @@ def test_index_set_rejects_nonpositive_and_bool():
 
 
 def test_eval_set_triangular_third_block():
-    assert eval_set(triangular(), 3) == {4, 5, 6}
+    assert frozenset(eval_set(triangular(), 3)) == {4, 5, 6}
 
 
 def test_eval_set_prefix_lookup():
@@ -159,6 +159,25 @@ def test_window_is_a_prefix_of_the_next(a, b, start, t):
     assert window(fam, t).sets == window(fam, t + 1).sets[:t]
 
 
+@given(
+    a=st.integers(0, 3),
+    b=st.integers(0, 3),
+    start=st.integers(1, 5),
+    stride=st.integers(1, 3),
+    t=st.integers(0, 12),
+)
+def test_tail_blocks_are_adjacent_ranges(a, b, start, stride, t):
+    if a == 0 and b == 0:
+        return
+    tail = DisjointBlocks(a, b, start, stride)
+    blocks = [tail.block(i) for i in range(1, t + 1)]
+    assert all(type(r) is range and len(r) == a * i + b for i, r in enumerate(blocks, 1))
+    total = sum(len(r) for r in blocks)
+    assert [x for r in blocks for x in r] == list(range(start, start + stride * total, stride))
+    fam = ProjectionFamily((), tail)
+    assert window(fam, t).sets == tuple(frozenset(r) for r in blocks)
+
+
 @st.composite
 def small_families(draw):
     prefix_sets = draw(
@@ -227,8 +246,8 @@ def test_parse_family_wire_format():
         {"prefix": [[1, 2], [3]], "tail": {"kind": "disjoint_blocks", "a": 1, "b": 0, "start": 4}}
     )
     assert eval_set(fam, 1) == {1, 2}
-    assert eval_set(fam, 3) == {4}
-    assert eval_set(fam, 4) == {5, 6}
+    assert frozenset(eval_set(fam, 3)) == {4}
+    assert frozenset(eval_set(fam, 4)) == {5, 6}
 
 
 def test_parse_family_missing_tail_means_finite():
