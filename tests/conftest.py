@@ -16,7 +16,7 @@ import sys
 
 try:
     import resource
-except ImportError:  # not on Windows: there the children run unlimited
+except ImportError:  # Windows has no resource module: its children run unlimited
     resource = None
 
 from hypothesis import strategies as st
