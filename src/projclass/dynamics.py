@@ -10,24 +10,23 @@ The simulator certifies, for every depth m, an injective transversal of
 Gamma_m (one member per entry's set, all members distinct).  That is the
 Hall-type certificate that no endomorphism image of the original projection
 picks up a trivial rank-one subprojection, which is what stable finiteness
-needs from the combinatorics.  None of it builds Gamma's sets:
-build_transversal matches the depth-1 layer, with the pool atoms reserved for
-the tight positions F0, and lifts the choice one layer at a time,
-t(alpha_j(I)) = nu(j, t(I)); verify_transversal reads membership in alpha's
-image off each term, layer by layer.  An injective transversal is a system
-of distinct representatives, so it satisfies Hall's condition (Hall 1935):
-hall_ok is verify_transversal's answer, and no orbit window is matched.
-gamma_iterate and hall_check_gamma materialize Gamma and match it, as the
-tests' reference.
+needs from the combinatorics.  None of it builds Gamma: a Transversal is
+its depth-1 certificate, one row of chosen integers per layer, matched by
+build_transversal with the pool atoms reserved for the tight positions F0.
+Every deeper entry takes its innermost layer's choice lifted,
+t(alpha_j(I)) = nu(j, t(I)), so verify_transversal checks only the rows,
+and Transversal.to_doc alone walks Gamma's entries, to print them.  An
+injective transversal is a system of distinct representatives, so it
+satisfies Hall's condition (Hall 1935): hall_ok is verify_transversal's
+answer, and no orbit window is matched.  gamma_iterate and
+hall_check_gamma materialize Gamma and match it, as the tests' reference.
 
-Terms are hash-consed into positive integer ids by a TermTable, which one
-build_transversal or gamma_iterate call creates.  A term is a node
-("base", i), ("batom", j, r) or ("nu", j, child id), and each distinct node
-gets exactly one id, so nu stays injective (nu(j, a) = nu(j', b) only when
-j = j' and a = b) and never meets a base or pool atom: coding collisions are
-impossible, as with free terms, yet hashing or comparing a term costs the
-same at every nesting depth.  Terms become nested wire lists only in
-term_to_doc, which unwinds nu chains with a loop.  The simulate() pipeline
+gamma_iterate hash-conses its terms into positive integer ids in a fresh
+TermTable.  A term is a node ("base", i), ("batom", j, r) or ("nu", j,
+child id), and each distinct node gets exactly one id, so nu stays injective
+(nu(j, a) = nu(j', b) only when j = j' and a = b) and never meets a base or
+pool atom, as with free terms.  A printed term is the wire list
+["base", i], ["batom", j, r] or ["nu", j, inner].  The simulate() pipeline
 first relabels the family onto odd identifiers; even identifiers are
 reserved for markers.  gamma_iterate itself embeds the family it is given
 verbatim.
@@ -77,20 +76,6 @@ class TermTable:
         """The injective pairing nu(j, child)."""
         node = ("nu", j, child)
         return self.ids.get(node) or self._add(node)
-
-
-def term_to_doc(table: TermTable, term: int) -> list:
-    """Wire form: ["base", i], ["batom", j, r], or ["nu", j, inner], built without recursion."""
-    nodes = table.nodes
-    wraps = []
-    node = nodes[term]
-    while node[0] == "nu":
-        wraps.append(node[1])
-        node = nodes[node[2]]
-    doc = list(node)
-    for j in reversed(wraps):
-        doc = ["nu", j, doc]
-    return doc
 
 
 def alpha(table: TermTable, j: int, terms: frozenset[int], k: int) -> frozenset[int]:
@@ -178,21 +163,39 @@ def gamma_iterate(
 
 
 class Transversal(NamedTuple):
-    """An injective choice of one term id per orbit entry, keyed by (path, source).
+    """An injective transversal of Gamma at one depth, held as its depth-1 certificate.
 
-    build_transversal inserts the keys in Gamma's path order, paths in
-    lexicographic order and sources innermost, so to_doc prints them as
-    they come.  The depth is the length of the keys' paths.
+    choices holds one row per layer, in the order of layers (one row at
+    depth 0, none without sources); a row gives source s, counted from 1,
+    its chosen integer x.  At depth 0 the term is base(x).  In layer j it is
+    nu(j, base(x)) when x > 0 and batom(j, -x) when x < 0, and the entry
+    (path, s) gets the term of its innermost layer path[-1], wrapped in
+    nu(i, .) for every outer layer i.
     """
 
-    table: TermTable
-    assignment: dict[tuple[tuple[int, ...], int], int]
+    depth: int
+    layers: range
+    choices: tuple[tuple[int, ...], ...]
 
     def to_doc(self) -> list[dict]:
-        return [
-            {"path": list(path), "source": source, "term": term_to_doc(self.table, term)}
-            for (path, source), term in self.assignment.items()
-        ]
+        """Gamma's entries as wire documents, in path order (lexicographic, sources innermost).
+
+        The only walk of Gamma's keys: each term is built from its path and
+        its innermost choice, and there are none without sources, at any depth.
+        """
+        if not self.choices:
+            return []
+        docs = []
+        for path in itertools.product(self.layers, repeat=self.depth):
+            row = self.choices[path[-1] - self.layers.start if path else 0]
+            for s, x in enumerate(row, 1):
+                term = ["base", x]
+                if path:
+                    term = ["nu", path[-1], term] if x > 0 else ["batom", path[-1], -x]
+                for i in reversed(path[:-1]):
+                    term = ["nu", i, term]
+                docs.append({"path": list(path), "source": s, "term": term})
+        return docs
 
 
 def _ordered_matching(count: int, candidates: Callable[[int], Iterable[int]]) -> list[int] | None:
@@ -233,93 +236,70 @@ def build_transversal(
     then in layer j the markers 2l for 1 <= l <= j, then,
     for tight positions only, the pool atoms -r for 1 <= r <= k: the pool
     is exactly large enough to absorb the tight set's deficiency, so nobody
-    else may touch it.  Only the chosen x is interned, and distinct x give
-    distinct terms: base(x) at depth 0, where a transversal is a system of
-    distinct representatives of the window; in layer j, nu(j, base(x)) when
-    x > 0 and batom(j, -x) when x < 0.  The depth-1 choices are then lifted
-    one layer at a time, each entry under j wrapped in nu(j, .), which keeps
-    distinct paths disjoint because nu is injective.  With j in the outer
-    loop the terms come in Gamma's path order (itertools.product over the
-    layers, sources innermost), and every wrap is interned once per lifted
-    entry, in a fresh TermTable.
+    else may touch it.  At depth 0 the one row is matched alone, as a
+    system of distinct representatives of the window.  The matched rows are
+    the whole transversal: nothing is lifted, interned or keyed by path.
     """
-    table = TermTable()
+    layers = range(-window_w, window_w + 1)
     sets = (eval_set(fam, j) for j in range(1, prefix_len + 1))
     rows = [s if isinstance(s, range) else sorted(s) for s in sets]
     if not rows:
-        # no sources, no entries: there is nothing to match or to enumerate
-        return Transversal(table, {})
-
-    nu, batom, base = table.nu, table.batom, table.base
-    layers = range(-window_w, window_w + 1)
+        # no sources, no entries: there is nothing to match
+        return Transversal(depth, layers, ())
     if depth == 0:
         choice = _ordered_matching(len(rows), rows.__getitem__)
         if choice is None:
             raise HallViolationError(
                 "Hall violation: the identity layer has no distinct-representative system"
             )
-        terms = [base(x) for x in choice]
-    else:
-        pools = dict.fromkeys(tight_positions, range(-1, -k - 1, -1))
-        terms = []
-        for j in layers:
-            markers = range(2, 2 * j + 1, 2)
-            choice = _ordered_matching(
-                len(rows), lambda s: itertools.chain(rows[s], markers, pools.get(s + 1, ()))
-            )
-            if choice is None:
-                raise HallViolationError("Hall violation: premises inconsistent")
-            terms.extend(nu(j, base(x)) if x > 0 else batom(j, -x) for x in choice)
+        return Transversal(depth, layers, (tuple(choice),))
 
-    for _ in range(depth - 1):
-        terms = [nu(j, t) for j in layers for t in terms]
-    sources = range(1, len(rows) + 1)
-    keys = ((path, s) for path in itertools.product(layers, repeat=depth) for s in sources)
-    return Transversal(table, dict(zip(keys, terms)))
+    pools = dict.fromkeys(tight_positions, range(-1, -k - 1, -1))
+    choices = []
+    for j in layers:
+        markers = range(2, 2 * j + 1, 2)
+        choice = _ordered_matching(
+            len(rows), lambda s: itertools.chain(rows[s], markers, pools.get(s + 1, ()))
+        )
+        if choice is None:
+            raise HallViolationError("Hall violation: premises inconsistent")
+        choices.append(tuple(choice))
+    return Transversal(depth, layers, tuple(choices))
 
 
 def verify_transversal(
     trans: Transversal, fam: ProjectionFamily, depth: int, window_w: int, prefix_len: int, k: int
 ) -> bool:
-    """Membership and injectivity check, independent of how the transversal was built.
+    """Check the depth-1 certificate against alpha's definition, in O((2w+1) * p) steps.
 
-    Every (path, source) of Gamma's canonical enumeration must have a term,
-    and no other key may: the walked keys' distinct terms must be as many as
-    the assignment's keys, so Gamma's size is never computed.  Membership is
-    alpha's definition read off the term, decoded through the transversal's
-    table outermost layer first: at layer j the term may be a pool atom
-    batom(j, r) with 1 <= r <= k or a marker nu(j, base(2l)) with
-    1 <= l <= j, and is a member; otherwise it must be nu(j, inner), and
-    inner is checked at the next layer.  Past the innermost layer it must be
-    base(i) with i in the source's set, by eval_set: a tail block's range
-    answers it by arithmetic.  An id the table never issued is rejected.
+    The certificate must have this depth and window, one row per layer (one
+    at depth 0, none when prefix_len is 0) and one choice per source.  A
+    choice x of source s in layer j must be a member of alpha_j(I_s): x in
+    I_s, by eval_set, so a tail block's range answers by arithmetic; or a
+    marker 2l with 1 <= l <= j; or a pool atom -r with 1 <= r <= k.  At
+    depth 0 it must be x in I_s.  The choices of one layer must be distinct.
+
+    That covers every entry of Gamma by the lift lemma: alpha_j(X) contains
+    nu(j, X), and nu is injective with disjoint images for distinct j.  An
+    entry's term is its innermost layer's member wrapped in nu once per
+    outer layer, so it is a member of the entry.  Two entries' terms differ
+    at the first layer where their paths differ, since a depth-1 term
+    carries its layer too, or, under one path, by their layer's distinct
+    choices.  So Gamma's paths are never walked.
     """
-    nodes = trans.table.nodes
-    assignment = trans.assignment
     layers = range(-window_w, window_w + 1)
-    seen: set[int] = set()
-    for s in range(1, prefix_len + 1):
-        members = eval_set(fam, s)
-        for path in itertools.product(layers, repeat=depth):
-            term = assignment.get((path, s))
-            if term is None or not 0 < term < len(nodes) or term in seen:
+    rows = (len(layers) if depth else 1) if prefix_len else 0
+    if (trans.depth, trans.layers, len(trans.choices)) != (depth, layers, rows):
+        return False
+    sets = [eval_set(fam, s) for s in range(1, prefix_len + 1)]
+    # at depth 0 the one row pairs with layer -w, whose j the test never reads
+    for j, row in zip(layers, trans.choices):
+        if len(row) != prefix_len or len(set(row)) != prefix_len:
+            return False
+        for x, members in zip(row, sets):
+            if x not in members and not (depth and (x in range(2, 2 * j + 1, 2) or -k <= x < 0)):
                 return False
-            seen.add(term)
-            node = nodes[term]
-            for j in path:
-                if node[0] == "batom":
-                    if node[1] == j and 1 <= node[2] <= k:
-                        break  # a pool atom of layer j
-                    return False
-                if node[0] != "nu" or node[1] != j:
-                    return False
-                node = nodes[node[2]]
-                if node[0] == "base" and node[1] in range(2, 2 * j + 1, 2):
-                    break  # a marker of layer j
-            else:
-                if node[0] != "base" or node[1] not in members:
-                    return False
-    return len(seen) == len(assignment)
+    return True
 
 
 def hall_check_gamma(gamma: GammaFamily) -> bool:

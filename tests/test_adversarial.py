@@ -13,6 +13,8 @@ product over its work cap, an orbit of a full family (no tight set), an
 orbit whose identity layer (depth 0) breaks Hall's condition, requests just
 under and just over the orbit entry cap and the oracle's case cap, an orbit
 of depth 10^6 over the entry cap, an orbit of depth 10^9 with no entries,
+orbits of one entry per layer (window 0) at depth 10^8 and at depth 10^18,
+which are decided from one layer's matching,
 orbits over tail blocks of 10^8 and of 10^30 identifiers (the second
 dumping its assignment), which build no block, and a negative and a small
 PROJCLASS_ENTRY_CAP.  Each CLI range refusal has
@@ -31,10 +33,14 @@ space and 10 s of CPU, set in the child only.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from conftest import cli_process, python_process, resource
 from corpora import adversarial_argv, adversarial_cases
+from projclass.family import parse_family
+from replay import endo_sim_replays
 
 CASES = adversarial_cases()
 
@@ -46,6 +52,9 @@ def test_adversarial_request(tmp_path, case):
     assert (proc.returncode, proc.stdout) == (case["exit"], case["stdout"])
     if proc.returncode == 0:
         assert proc.stderr == ""
+        if "--dump-assignment" in case["argv"]:
+            fam = parse_family(json.loads(case["family"]))
+            assert endo_sim_replays(case["argv"], json.loads(proc.stdout), fam)
     else:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert proc.stdout == ""

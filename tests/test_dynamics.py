@@ -16,13 +16,32 @@ from projclass.dynamics import (
     gamma_iterate,
     hall_check_gamma,
     simulate,
-    term_to_doc,
     verify_transversal,
 )
 from projclass import hall
 from projclass.errors import FullFamilyError, HallViolationError, WindowTooLargeError
 from projclass.classify import TightSet, find_tight_set
-from projclass.family import Constant, DisjointBlocks, ProjectionFamily, reindex_to_odd, window
+from projclass.family import Constant, DisjointBlocks, ProjectionFamily, eval_set, reindex_to_odd, window
+from replay import orbit_dump_replays
+
+
+def term_to_doc(table, term):
+    """Wire form of a TermTable id: ["base", i], ["batom", j, r], or ["nu", j, inner], built without recursion."""
+    nodes = table.nodes
+    wraps = []
+    node = nodes[term]
+    while node[0] == "nu":
+        wraps.append(node[1])
+        node = nodes[node[2]]
+    doc = list(node)
+    for j in reversed(wraps):
+        doc = ["nu", j, doc]
+    return doc
+
+
+def dumped(trans):
+    """The transversal's printed terms, keyed by (path, source)."""
+    return {(tuple(e["path"]), e["source"]): e["term"] for e in trans.to_doc()}
 
 
 def free_doc(doc):
@@ -208,11 +227,24 @@ def test_an_orbit_with_no_entries_is_decided_at_any_depth():
     assert report.to_doc() == {
         "entries": 0, "transversal_ok": True, "hall_ok": True, "k": 0, "F0": []
     }
-    # the empty transversal is one at every depth, and only it is
+    # the empty certificate is one at every depth, and only it is; it prints nothing
     fam = reindex_to_odd(triangular())
-    t = TermTable()
-    assert verify_transversal(Transversal(t, {}), fam, 10**9, 1, 0, 0)
-    assert not verify_transversal(Transversal(t, {((), 1): t.base(1)}), fam, 10**9, 1, 0, 0)
+    empty = Transversal(10**9, range(-1, 2), ())
+    assert report.transversal == empty and empty.to_doc() == []
+    assert verify_transversal(empty, fam, 10**9, 1, 0, 0)
+    assert not verify_transversal(empty._replace(choices=((1,),) * 3), fam, 10**9, 1, 0, 0)
+    assert not verify_transversal(empty._replace(choices=((),) * 3), fam, 10**9, 1, 0, 0)
+
+
+def test_a_window_0_orbit_is_decided_at_any_depth():
+    # one entry per source at every depth, and the certificate is one row
+    t0 = time.perf_counter()
+    report = simulate(triangular(), 10**18, 0, 1)
+    assert time.perf_counter() - t0 < 0.5
+    assert report.to_doc() == {
+        "entries": 1, "transversal_ok": True, "hall_ok": True, "k": 0, "F0": []
+    }
+    assert report.transversal == Transversal(10**18, range(0, 1), ((1,),))
 
 
 def test_depth_one_entries_contain_their_pool():
@@ -233,29 +265,24 @@ def test_every_gamma_call_has_its_own_table():
 
 
 def in_gamma(gamma, trans):
-    """The materialized membership check: every entry's term in its set, all distinct.
+    """The materialized membership check: the printed terms, in Gamma's order, each in its set, all distinct.
 
-    Terms are compared as free terms, since the transversal has its own table.
+    Terms are compared as free terms, since Gamma has its own table.
     """
-    if len(trans.assignment) != len(gamma.entries):
+    docs = trans.to_doc()
+    if [(tuple(e["path"]), e["source"]) for e in docs] != [(e.path, e.source) for e in gamma.entries]:
         return False
-    seen = set()
-    for entry in gamma.entries:
-        term = trans.assignment.get((entry.path, entry.source))
-        if term is None:
-            return False
-        free = free_doc(term_to_doc(trans.table, term))
-        if free not in frees(gamma.table, entry.terms) or free in seen:
-            return False
-        seen.add(free)
-    return True
+    terms = [free_doc(e["term"]) for e in docs]
+    members = all(t in frees(gamma.table, e.terms) for t, e in zip(terms, gamma.entries))
+    return members and len(set(terms)) == len(terms)
 
 
 def test_build_transversal_triangular_depth_one():
     fam = reindex_to_odd(triangular())
     gamma = gamma_iterate(fam, prefix_len=2, window_w=1, depth=1, k=0)
     trans = build_transversal(fam, 1, 1, 2, 0, find_tight_set(triangular()).positions)
-    assert term_to_doc(trans.table, trans.assignment[((1,), 1)]) == ["nu", 1, ["base", 1]]
+    assert trans.choices == ((1, 3), (1, 3), (1, 3))
+    assert dumped(trans)[((1,), 1)] == ["nu", 1, ["base", 1]]
     assert verify_transversal(trans, fam, 1, 1, 2, 0)
     assert in_gamma(gamma, trans)
 
@@ -263,8 +290,8 @@ def test_build_transversal_triangular_depth_one():
 def test_build_transversal_uses_the_pool_for_tight_sources():
     odd = reindex_to_odd(padded_triangular())
     trans = build_transversal(odd, 1, 0, 2, 1, find_tight_set(padded_triangular()).positions)
-    assert term_to_doc(trans.table, trans.assignment[((0,), 1)]) == ["nu", 0, ["base", 1]]
-    assert term_to_doc(trans.table, trans.assignment[((0,), 2)]) == ["batom", 0, 1]
+    assert trans == Transversal(1, range(0, 1), ((1, -1),))
+    assert dumped(trans) == {((0,), 1): ["nu", 0, ["base", 1]], ((0,), 2): ["batom", 0, 1]}
 
 
 def test_build_transversal_depth_zero_is_an_sdr():
@@ -282,16 +309,18 @@ def test_build_transversal_depth_zero_detects_collisions():
 
 
 def test_verify_transversal_rejects_duplicates_and_strays():
+    # depth 0: the one row must be distinct identifiers of the sources' own sets
     fam = reindex_to_odd(triangular())
-    t = TermTable()
-    dup = Transversal(t, {((), 1): t.base(1), ((), 2): t.base(1)})
-    assert not verify_transversal(dup, fam, 0, 0, 2, 0)
-    stray = Transversal(t, {((), 1): t.base(1), ((), 2): t.base(99)})
-    assert not verify_transversal(stray, fam, 0, 0, 2, 0)
-    # the same ids are meaningless under another table
     good = build_transversal(fam, 0, 0, 2, 0, ())
+    assert good == Transversal(0, range(0, 1), ((1, 3),))
     assert verify_transversal(good, fam, 0, 0, 2, 0)
-    assert not verify_transversal(Transversal(TermTable(), good.assignment), fam, 0, 0, 2, 0)
+    for row in [(1, 1), (1, 99), (1, 2), (1, 0)]:
+        assert not verify_transversal(good._replace(choices=(row,)), fam, 0, 0, 2, 0), row
+    # markers and pool atoms belong to alpha's layers, never to depth 0
+    wide = Transversal(0, range(-1, 2), ((1, 3),))
+    assert verify_transversal(wide, fam, 0, 1, 2, 1)
+    assert not verify_transversal(wide._replace(choices=((1, -1),)), fam, 0, 1, 2, 1)
+    assert not verify_transversal(wide._replace(choices=((1, 2),)), fam, 0, 1, 2, 1)
 
 
 def test_hall_check_gamma_examples():
@@ -305,14 +334,15 @@ def test_hall_check_gamma_examples():
 
 
 def test_lifting_identity():
-    # deeper assignments are nu-wrapped copies of the shallower ones
-    odd = reindex_to_odd(triangular())
-    k, f0 = 0, find_tight_set(triangular()).positions
-    shallow = build_transversal(odd, 1, 1, 3, k, f0)
-    deep = build_transversal(odd, 2, 1, 3, k, f0)
-    for (path, source), term in deep.assignment.items():
-        inner = term_to_doc(shallow.table, shallow.assignment[(path[1:], source)])
-        assert term_to_doc(deep.table, term) == ["nu", path[0], inner]
+    # deeper dumps are nu-wrapped copies of the shallower ones, from the same rows
+    odd = reindex_to_odd(padded_triangular())
+    tight = find_tight_set(odd)
+    shallow = build_transversal(odd, 1, 1, 3, tight.k, tight.positions)
+    deep = build_transversal(odd, 2, 1, 3, tight.k, tight.positions)
+    assert deep == shallow._replace(depth=2)
+    inner = dumped(shallow)
+    for (path, source), term in dumped(deep).items():
+        assert term == ["nu", path[0], inner[(path[1:], source)]]
 
 
 def test_simulate_reports_all_checks():
@@ -396,19 +426,6 @@ def test_build_transversal_prefers_members_then_markers_then_the_pool():
     ]
 
 
-def test_build_transversal_interns_no_new_terms():
-    # every depth-1 candidate it reads is already a subterm of Gamma
-    odd = reindex_to_odd(padded_triangular())
-    tight = find_tight_set(odd)
-    for depth in (1, 2):
-        gamma = gamma_iterate(odd, 6, 2, depth, tight.k)
-        trans = build_transversal(odd, depth, 2, 6, tight.k, tight.positions)
-        assert verify_transversal(trans, odd, depth, 2, 6, tight.k)
-        assert in_gamma(gamma, trans)
-        subterms = frees(gamma.table, range(1, len(gamma.table.nodes)))
-        assert frees(trans.table, range(1, len(trans.table.nodes))) <= subterms
-
-
 def test_simulate_makes_only_the_tight_set_matching(monkeypatch):
     # the verified transversal is the Hall certificate, so the one matching
     # is find_tight_set's, on the prefix: no orbit window is matched
@@ -481,7 +498,11 @@ def materialized_simulate(fam, depth, w, p, cap=DEFAULT_ENTRY_CAP):
         "k": tight.k,
         "F0": list(tight.positions),
     }
-    return doc, Transversal(table, assignment).to_doc()
+    dump = [
+        {"path": list(path), "source": source, "term": term_to_doc(table, term)}
+        for (path, source), term in assignment.items()
+    ]
+    return doc, dump
 
 
 def outcome(route, *args):
@@ -518,105 +539,121 @@ tails = st.one_of(
 def test_simulate_equals_the_materialized_route(sets, tail, p, depth, w, cap):
     fam = ProjectionFamily(tuple(sets), tail)
     args = (fam, depth, w, p, cap)
-    assert outcome(simulated, *args) == outcome(materialized_simulate, *args)
+    got = outcome(simulated, *args)
+    assert got == outcome(materialized_simulate, *args)
+    if isinstance(got[0], dict):
+        doc, dump = got
+        sets = [eval_set(fam, s) for s in range(1, p + 1)]
+        assert orbit_dump_replays(dump, sets, depth, w, doc["k"])
 
 
-def lifted_good(t):
-    """A valid depth-2, window-1 transversal of the one-set family {1}, as a dict."""
-    return {
-        ((i, j), 1): t.nu(i, t.nu(j, t.base(1))) for i in (-1, 0, 1) for j in (-1, 0, 1)
-    }
+CERTIFICATE = Transversal(2, range(-1, 2), ((1,), (1,), (1,)))
 
 
 @pytest.mark.parametrize(
-    "key, make, member",
+    "key, term, member, choice",
     [
         # members other than the own element: markers and pool atoms, inner and outer
-        (((0, 1), 1), lambda t: t.nu(0, t.nu(1, t.base(2))), True),
-        (((1, 0), 1), lambda t: t.nu(1, t.base(2)), True),
-        (((1, 0), 1), lambda t: t.nu(1, t.batom(0, 1)), True),
-        (((1, 0), 1), lambda t: t.batom(1, 1), True),
+        (((0, 1), 1), ["nu", 0, ["nu", 1, ["base", 2]]], True, 2),
+        (((1, 0), 1), ["nu", 1, ["base", 2]], True, None),
+        (((1, 0), 1), ["nu", 1, ["batom", 0, 1]], True, -1),
+        (((1, 0), 1), ["batom", 1, 1], True, None),
         # a stray: a ground identifier the source does not hold
-        (((0, 0), 1), lambda t: t.nu(0, t.nu(0, t.base(3))), False),
+        (((0, 0), 1), ["nu", 0, ["nu", 0, ["base", 3]]], False, 3),
         # a marker with l > j: layer 1 has only the marker base(2)
-        (((0, 1), 1), lambda t: t.nu(0, t.nu(1, t.base(4))), False),
-        (((1, 0), 1), lambda t: t.nu(1, t.base(4)), False),
+        (((0, 1), 1), ["nu", 0, ["nu", 1, ["base", 4]]], False, 4),
+        (((1, 0), 1), ["nu", 1, ["base", 4]], False, None),
         # markers never sit on non-positive layers
-        (((1, 0), 1), lambda t: t.nu(1, t.nu(0, t.base(2))), False),
+        (((1, 0), 1), ["nu", 1, ["nu", 0, ["base", 2]]], False, 2),
         # a pool atom past k = 1
-        (((1, 0), 1), lambda t: t.nu(1, t.batom(0, 2)), False),
+        (((1, 0), 1), ["nu", 1, ["batom", 0, 2]], False, -2),
         # a pool atom of another layer
-        (((1, 0), 1), lambda t: t.nu(1, t.batom(-1, 1)), False),
-        (((1, 0), 1), lambda t: t.batom(0, 1), False),
+        (((1, 0), 1), ["nu", 1, ["batom", -1, 1]], False, None),
+        (((1, 0), 1), ["batom", 0, 1], False, None),
         # wraps in the wrong order
-        (((1, 0), 1), lambda t: t.nu(0, t.nu(1, t.base(1))), False),
+        (((1, 0), 1), ["nu", 0, ["nu", 1, ["base", 1]]], False, None),
         # one wrap too few
-        (((1, 0), 1), lambda t: t.nu(1, t.base(1)), False),
+        (((1, 0), 1), ["nu", 1, ["base", 1]], False, None),
     ],
     ids=["inner-marker", "outer-marker", "inner-pool", "outer-pool", "stray",
          "inner-marker-past-layer", "outer-marker-past-layer", "marker-on-layer-0",
          "pool-past-k", "inner-pool-of-another-layer", "outer-pool-of-another-layer",
          "swapped-wraps", "missing-wrap"],
 )
-def test_verify_transversal_reads_membership_off_the_term(key, make, member):
+def test_verify_transversal_reads_membership_off_the_term(key, term, member, choice):
+    """One term of a depth-2, window-1 dump of the family {1} at k = 1, replaced.
+
+    The replayer reads membership off the printed term.  Where the term is
+    the lift of a choice in its innermost layer, the certificate holding
+    that choice prints it, and verify_transversal gives the same verdict; a
+    certificate cannot express the other terms at all.
+    """
     fam = ProjectionFamily((frozenset({1}),))
-    t = TermTable()
-    good = lifted_good(t)
-    assert verify_transversal(Transversal(t, good), fam, 2, 1, 1, 1)
-    trans = Transversal(t, {**good, key: make(t)})
-    assert verify_transversal(trans, fam, 2, 1, 1, 1) is member
+    assert verify_transversal(CERTIFICATE, fam, 2, 1, 1, 1)
+    dump = CERTIFICATE.to_doc()
+    assert orbit_dump_replays(dump, [{1}], 2, 1, 1)
+    for item in dump:
+        if (tuple(item["path"]), item["source"]) == key:
+            item["term"] = term
+    assert orbit_dump_replays(dump, [{1}], 2, 1, 1) is member
+    if choice is not None:
+        choices = list(CERTIFICATE.choices)
+        choices[key[0][-1] + 1] = (choice,)
+        trans = CERTIFICATE._replace(choices=tuple(choices))
+        assert dumped(trans)[key] == term
+        assert verify_transversal(trans, fam, 2, 1, 1, 1) is member
+
+
+# two sources {1} at k = 1: each layer's own element and one pool atom or marker
+TWO = ProjectionFamily((frozenset({1}), frozenset({1})))
+TWO_CERTIFICATE = Transversal(2, range(-1, 2), ((1, -1), (-1, 1), (1, 2)))
 
 
 def test_verify_transversal_rejects_a_member_taken_twice():
-    # the pool atom of layer 1 is a member of every entry under outer layer 1
-    fam = ProjectionFamily((frozenset({1}),))
-    t = TermTable()
-    once = {**lifted_good(t), ((1, 0), 1): t.batom(1, 1)}
-    assert verify_transversal(Transversal(t, once), fam, 2, 1, 1, 1)
-    twice = {**once, ((1, 1), 1): t.batom(1, 1)}
-    assert not verify_transversal(Transversal(t, twice), fam, 2, 1, 1, 1)
+    # the pool atom and the marker are members of both sources' sets, once each
+    assert verify_transversal(TWO_CERTIFICATE, TWO, 2, 1, 2, 1)
+    for layer, row in [(0, (-1, -1)), (2, (2, 2)), (1, (1, 1)), (2, (1, 1))]:
+        choices = list(TWO_CERTIFICATE.choices)
+        choices[layer] = row
+        trans = TWO_CERTIFICATE._replace(choices=tuple(choices))
+        assert not verify_transversal(trans, TWO, 2, 1, 2, 1), (layer, row)
+        # the printed dump repeats a term, and the replayer sees it too
+        assert not orbit_dump_replays(trans.to_doc(), [{1}, {1}], 2, 1, 1)
 
 
 def test_verify_transversal_rejects_missing_and_extra_entries():
-    fam = ProjectionFamily((frozenset({1}),))
-    t = TermTable()
-    good = lifted_good(t)
-    missing = dict(good)
-    del missing[((1, 1), 1)]
-    assert not verify_transversal(Transversal(t, missing), fam, 2, 1, 1, 1)
-    # the count matches, but one key is not an entry of Gamma
-    renamed = dict(missing)
-    renamed[((1, 1), 2)] = good[((1, 1), 1)]
-    assert not verify_transversal(Transversal(t, renamed), fam, 2, 1, 1, 1)
-    # a transversal of another window or depth
-    assert not verify_transversal(Transversal(t, good), fam, 2, 0, 1, 1)
-    shallow = {((j,), 1): t.nu(j, t.base(1)) for j in (-1, 0, 1)}
-    assert verify_transversal(Transversal(t, shallow), fam, 1, 1, 1, 1)
-    assert not verify_transversal(Transversal(t, shallow), fam, 2, 1, 1, 1)
+    good = TWO_CERTIFICATE
+    assert verify_transversal(good, TWO, 2, 1, 2, 1)
+    rows = good.choices
+    for choices in [
+        rows[:2],                          # a missing layer
+        rows + ((1, -1),),                 # an extra layer
+        (rows[0][:1],) + rows[1:],         # a missing source
+        ((1, -1, 2),) + rows[1:],          # an extra source
+        (),                                # no rows at all
+    ]:
+        assert not verify_transversal(good._replace(choices=choices), TWO, 2, 1, 2, 1), choices
+    # a certificate of another depth or window
+    assert not verify_transversal(good._replace(depth=1), TWO, 2, 1, 2, 1)
+    assert not verify_transversal(good, TWO, 1, 1, 2, 1)
+    assert not verify_transversal(good, TWO, 2, 0, 2, 1)
+    assert not verify_transversal(good._replace(layers=range(0, 3)), TWO, 2, 1, 2, 1)
+    assert verify_transversal(good._replace(depth=1), TWO, 1, 1, 2, 1)
+    # depth 0 holds one row, however wide the window
+    assert not verify_transversal(good._replace(depth=0), TWO, 0, 1, 2, 1)
 
 
-def test_verify_transversal_rejects_a_term_from_another_table():
-    fam = ProjectionFamily((frozenset({1}),))
-    t, other = TermTable(), TermTable()
-    good = lifted_good(t)
-    # an id the table never issued
-    far = other.nu(0, other.nu(0, other.nu(0, other.base(1))))
-    for _ in range(len(t.nodes)):
-        far = other.nu(0, far)
-    assert not verify_transversal(Transversal(t, {**good, ((0, 0), 1): far}), fam, 2, 1, 1, 1)
-    # an id that the table did issue, but for another term
-    other.batom(5, 1)
-    foreign = other.nu(0, other.nu(0, other.base(1)))
-    assert term_to_doc(t, foreign) != ["nu", 0, ["nu", 0, ["base", 1]]]
-    assert not verify_transversal(Transversal(t, {**good, ((0, 0), 1): foreign}), fam, 2, 1, 1, 1)
-    assert not verify_transversal(Transversal(t, {**good, ((0, 0), 1): 0}), fam, 2, 1, 1, 1)
-    assert not verify_transversal(Transversal(t, {**good, ((0, 0), 1): -1}), fam, 2, 1, 1, 1)
-
-
-def test_deep_orbit_interns_one_wrap_per_layer():
-    # window 0: one entry per source at every depth, so the table grows
-    # linearly in the depth (each layer wraps the one term once)
-    depth = 20_000
-    report = simulate(triangular(), depth=depth, window_w=0, prefix_len=1)
-    assert report.transversal_ok and report.entries == 1
-    assert len(report.transversal.table.nodes) <= depth + 10
+def test_to_doc_walks_gamma_from_the_innermost_choice():
+    # the rows differ by layer, so each entry's term names its innermost layer's choice
+    dump = TWO_CERTIFICATE.to_doc()
+    assert [(tuple(e["path"]), e["source"]) for e in dump] == [
+        (path, s) for path in itertools.product((-1, 0, 1), repeat=2) for s in (1, 2)
+    ]
+    assert dumped(TWO_CERTIFICATE)[((1, -1), 2)] == ["nu", 1, ["batom", -1, 1]]
+    assert dumped(TWO_CERTIFICATE)[((-1, 1), 2)] == ["nu", -1, ["nu", 1, ["base", 2]]]
+    assert dumped(TWO_CERTIFICATE)[((0, 0), 1)] == ["nu", 0, ["batom", 0, 1]]
+    assert orbit_dump_replays(dump, [{1}, {1}], 2, 1, 1)
+    assert Transversal(0, range(-1, 2), ((1, 3),)).to_doc() == [
+        {"path": [], "source": 1, "term": ["base", 1]},
+        {"path": [], "source": 2, "term": ["base", 3]},
+    ]

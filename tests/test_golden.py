@@ -18,6 +18,7 @@ from conftest import assert_certificate_replays
 from corpora import GOLDEN, golden_argv, golden_cases, random_analyze_argv, random_analyze_cases
 from projclass.cli import main
 from projclass.family import parse_family
+from replay import endo_sim_replays
 
 CASES = golden_cases()
 
@@ -43,6 +44,20 @@ def test_printed_certificate_replays(capsys, case):
     family = argv[argv.index("--family") + 1]
     fam = parse_family(json.loads(Path(family).read_text(encoding="utf-8")))
     assert_certificate_replays(fam, doc)
+
+
+ORBIT_DUMPS = [c for c in CASES if "--dump-assignment" in c["argv"] and c["exit"] == 0]
+
+
+@pytest.mark.parametrize("case", ORBIT_DUMPS, ids=[c["name"] for c in ORBIT_DUMPS])
+def test_printed_orbit_dump_replays(capsys, case):
+    # every dumped term re-derived from alpha's definition off its wire form
+    argv = golden_argv(case)
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    family = argv[argv.index("--family") + 1]
+    fam = parse_family(json.loads(Path(family).read_text(encoding="utf-8")))
+    assert endo_sim_replays(argv, doc, fam)
 
 
 def test_random_analyze_outputs(capsys, tmp_path):

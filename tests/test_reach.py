@@ -21,10 +21,16 @@ from conftest import python_process
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "projclass"
 
-# bench/tracing.py resolves four of these by name, so they stay in src
+# bench/tracing.py resolves four of these by name, so they stay in src, and
+# TermTable with gamma_iterate, which interns its terms there
 UNREACHED = {
     "__init__.__dir__": "dir(projclass) lists the exports for library callers",
     "__init__.__getattr__": "resolves the exports for library callers; the modules import each other's names directly",
+    "dynamics.TermTable.__init__": "gamma_iterate's term table, its only use; the bench traces gamma_iterate",
+    "dynamics.TermTable._add": "interns a new node for gamma_iterate only; the bench traces gamma_iterate",
+    "dynamics.TermTable.base": "interns gamma_iterate's base terms only; the bench traces gamma_iterate",
+    "dynamics.TermTable.batom": "interns alpha's pool atoms for gamma_iterate only; the bench traces gamma_iterate",
+    "dynamics.TermTable.nu": "interns alpha's nu-images for gamma_iterate only; the bench traces gamma_iterate",
     "dynamics.alpha": "one orbit step on a materialized set; only gamma_iterate calls it",
     "dynamics.gamma_iterate": "materializes the orbit family as the tests' reference; the bench traces it",
     "dynamics.hall_check_gamma": "matches the materialized orbit family as the tests' reference; the bench traces it",
