@@ -26,7 +26,10 @@ from replay import orbit_dump_replays
 
 
 def term_to_doc(table, term):
-    """Wire form of a TermTable id: ["base", i], ["batom", j, r], or ["nu", j, inner], built without recursion."""
+    """Wire form of a TermTable id: ["base", i], ["batom", j, r] or ["nu", j, inner].
+
+    The nu chain is unwound by a loop, so a deep term needs no recursion.
+    """
     nodes = table.nodes
     wraps = []
     node = nodes[term]
